@@ -16,11 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from sl3warp.sensitivity import DEFAULT_NUISANCE, warp_sensitivity, write_sensitivity_csv
+from sl3warp.sensitivity import (
+    DEFAULT_NUISANCE,
+    DEFAULT_SPAN,
+    warp_sensitivity,
+    write_sensitivity_csv,
+)
 from sl3warp.synth import texture
 from sl3warp.warps import COEFF_INDICES, WarpConfig, WarpKind
-
-RANGES = {2: 0.6, 3: 0.26, 4: 0.2, 5: 0.15, 6: 1e-4, 7: 1e-4}
 
 
 def main():
@@ -36,12 +39,12 @@ def main():
     probe = texture(args.probe_size, seed=args.seed)
     config = WarpConfig(n=args.probe_size)
     for kind in WarpKind:
-        primary = COEFF_INDICES[kind][0]
-        nuisance = DEFAULT_NUISANCE[kind]
+        span_p = DEFAULT_SPAN[COEFF_INDICES[kind][0]]
+        span_n = DEFAULT_SPAN[DEFAULT_NUISANCE[kind]]
         result = warp_sensitivity(
             kind,
-            np.linspace(-RANGES[primary], RANGES[primary], args.points),
-            np.linspace(-RANGES.get(nuisance, 0.1), RANGES.get(nuisance, 0.1), args.points),
+            np.linspace(-span_p, span_p, args.points),
+            np.linspace(-span_n, span_n, args.points),
             probe,
             config,
         )

@@ -27,8 +27,8 @@ import numpy as np
 from .correlate import phase_correlate
 from .raster import ImageGrid, warp_by_homography
 from .refine import refine
-from .sl3 import compose_homography
-from .warps import COEFF_INDICES, WarpConfig, WarpKind, recover_coeffs, warp_image
+from .sl3 import FACTOR_COEFFS, compose_homography
+from .warps import WarpConfig, WarpKind, recover_coeffs, warp_image
 
 __all__ = ["Stage", "EstimatorConfig", "StagePeak", "EstimationResult",
            "rectify", "estimate_stage", "estimate"]
@@ -43,14 +43,8 @@ class Stage(enum.Enum):
     PERSPECTIVE_2 = "persp2"
 
 
-CASCADE_ORDER = (
-    Stage.TRANSLATION,
-    Stage.SCALE_ROTATION,
-    Stage.ASPECT_RATIO,
-    Stage.SHEAR,
-    Stage.PERSPECTIVE_1,
-    Stage.PERSPECTIVE_2,
-)
+# One stage per factor, in product order: stage k estimates FACTOR_COEFFS[k].
+CASCADE_ORDER = tuple(Stage)
 
 _STAGE_TO_WARP = {
     Stage.SCALE_ROTATION: WarpKind.SCALE_ROTATION,
@@ -79,7 +73,7 @@ _CAPTURE_CONFIDENCE_MARGIN = 2.0
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Cascade settings: warp geometry, enabled stages, and peak options.
+    """Cascade settings: warp geometry and enabled stages.
 
     ``stages`` must be a subset of the canonical order, in that order;
     stages left out keep their coefficients at zero.
@@ -87,8 +81,6 @@ class EstimatorConfig:
 
     warp: WarpConfig = field(default_factory=WarpConfig)
     stages: tuple[Stage, ...] = CASCADE_ORDER
-    subpixel: bool = True
-    hann_window: bool = True
 
     def __post_init__(self):
         ranks = [CASCADE_ORDER.index(s) for s in self.stages]
@@ -125,9 +117,7 @@ class EstimationResult:
         }
 
 
-def _correlate_translation(
-    template: ImageGrid, search: ImageGrid, config: EstimatorConfig
-) -> tuple[np.ndarray, float]:
+def _correlate_translation(template: ImageGrid, search: ImageGrid) -> tuple[np.ndarray, float]:
     """Translation peak from the better of two correlation routes.
 
     The direct route applies the center-weighted, band-limited correlator
@@ -145,9 +135,7 @@ def _correlate_translation(
         return phase_correlate(
             template,
             img,
-            window=config.hann_window,
             window_power=_TRANSLATION_WINDOW_POWER,
-            subpixel=config.subpixel,
             band_limit=_TRANSLATION_BAND_LIMIT,
         )
 
@@ -161,9 +149,7 @@ def _correlate_translation(
         return t0 + mu, conf
 
     direct, direct_conf = fine(search)
-    coarse, _ = phase_correlate(
-        template, search, window=config.hann_window, subpixel=False
-    )
+    coarse, _ = phase_correlate(template, search, subpixel=False)
     if np.array_equal(np.rint(coarse), np.rint(direct)):
         return direct, direct_conf
     # the routes disagree: refit each from its own re-centering and keep
@@ -177,11 +163,7 @@ def _correlate_translation(
 
 def _free_coefficients(stages) -> tuple[int, ...]:
     """Coefficient positions the given stages estimate."""
-    return tuple(
-        i
-        for stage in stages
-        for i in ((0, 1) if stage is Stage.TRANSLATION else COEFF_INDICES[_STAGE_TO_WARP[stage]])
-    )
+    return tuple(i for stage in stages for i in FACTOR_COEFFS[CASCADE_ORDER.index(stage)])
 
 
 def rectify(search: ImageGrid, partial_b) -> ImageGrid:
@@ -212,7 +194,7 @@ def estimate_stage(
     formula.  ``search`` must already be rectified by all previous stages.
     """
     if stage is Stage.TRANSLATION:
-        mu, conf = _correlate_translation(template, search, config)
+        mu, conf = _correlate_translation(template, search)
         update = np.zeros(8)
         update[0], update[1] = mu[0], mu[1]
     else:
@@ -226,9 +208,7 @@ def estimate_stage(
         mu, conf = phase_correlate(
             wt,
             ws,
-            window=config.hann_window,
             circular_vertical=kind is WarpKind.SCALE_ROTATION,
-            subpixel=config.subpixel,
             band_limit=_WARP_BAND_LIMIT,
         )
         update = recover_coeffs(kind, config.warp, mu)

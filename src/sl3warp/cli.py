@@ -17,24 +17,13 @@ import numpy as np
 
 from .benchmark import run_benchmark, write_curves_csv, write_report_json
 from .cascade import CASCADE_ORDER, EstimatorConfig, Stage, estimate
-from .raster import load_image, save_image
-from .sensitivity import DEFAULT_NUISANCE, warp_sensitivity, write_sensitivity_csv
+from .raster import ImageGrid, load_image, save_image
+from .sensitivity import DEFAULT_NUISANCE, DEFAULT_SPAN, warp_sensitivity, write_sensitivity_csv
 from .sl3 import compose_homography, decompose_homography
 from .synth import PRESETS, generate_dataset, texture
 from .warps import COEFF_INDICES, WarpConfig, WarpKind, warp_image
 
 __all__ = ["cli", "main"]
-
-_WARP_CHOICES = {
-    "scale-rot": WarpKind.SCALE_ROTATION,
-    "aspect": WarpKind.ASPECT_RATIO,
-    "shear": WarpKind.SHEAR,
-    "persp1": WarpKind.PERSPECTIVE_1,
-    "persp2": WarpKind.PERSPECTIVE_2,
-}
-
-# Grid half-ranges for the sensitivity defaults, per coefficient index.
-_SENSITIVITY_RANGE = {2: 0.6, 3: 0.26, 4: 0.2, 5: 0.15, 6: 1e-4, 7: 1e-4}
 
 
 class _UsageError(Exception):
@@ -63,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--h", nargs=9, type=float, required=True, metavar="H")
 
     p = sub.add_parser("warp", help="apply one subgroup warp to a raster file")
-    p.add_argument("--kind", choices=sorted(_WARP_CHOICES), required=True)
+    p.add_argument("--kind", choices=[k.value for k in WarpKind], required=True)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--phi1", type=float, default=None)
     p.add_argument("--phi2", type=float, default=None)
@@ -96,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--curves-csv", default=None)
 
     p = sub.add_parser("sensitivity", help="peak-offset matrix for one warp")
-    p.add_argument("--kind", choices=sorted(_WARP_CHOICES), required=True)
+    p.add_argument("--kind", choices=[k.value for k in WarpKind], required=True)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--points", type=int, default=5)
     p.add_argument("--nuisance", type=int, default=None,
@@ -131,14 +120,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_warp(args) -> int:
     image = load_image(args.input)
     config = WarpConfig(n=args.n, phi1=args.phi1, phi2=args.phi2)
-    warped = warp_image(image, _WARP_CHOICES[args.kind], config)
+    warped = warp_image(image, WarpKind(args.kind), config)
     grid = warped.grid
     if grid.channels not in (1, 3):
         # the four-quadrant warp is written channel-planes-stacked vertically
-        stacked = grid.pixels.transpose(2, 0, 1).reshape(-1, grid.width)
-        from .raster import ImageGrid
-
-        grid = ImageGrid(stacked)
+        grid = ImageGrid(grid.pixels.transpose(2, 0, 1).reshape(-1, grid.width))
     save_image(grid, args.out)
     return 0
 
@@ -189,13 +175,13 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    kind = _WARP_CHOICES[args.kind]
+    kind = WarpKind(args.kind)
     primary = COEFF_INDICES[kind][0]
     nuisance = args.nuisance - 1 if args.nuisance is not None else DEFAULT_NUISANCE[kind]
     if not 0 <= (nuisance) <= 7:
         raise _UsageError("nuisance coefficient index must be in 1..8")
-    span_p = _SENSITIVITY_RANGE[primary]
-    span_n = _SENSITIVITY_RANGE.get(nuisance, 0.1)
+    span_p = DEFAULT_SPAN[primary]
+    span_n = DEFAULT_SPAN[nuisance]
     probe = texture(args.probe_size, seed=args.seed)
     result = warp_sensitivity(
         kind,
@@ -241,3 +227,7 @@ def cli(argv) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

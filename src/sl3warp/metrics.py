@@ -6,8 +6,8 @@ the mean corner error over a sample set, and precision/success curves over
 an integer pixel-threshold grid (fraction of samples strictly below each
 threshold).  The success score uses the same corner construction on the
 centered unit square scaled to the template, which coincides with the
-alignment error under the default corner choice; reports label this
-surrogate explicitly.
+alignment error under the default corner choice, so the success curve is
+the precision curve.
 """
 
 from __future__ import annotations
@@ -92,12 +92,12 @@ class CurveSummary:
     thresholds: tuple[float, ...] = field(default=DEFAULT_THRESHOLDS)
 
 
-def precision_and_success(errors, thresholds=DEFAULT_THRESHOLDS, discrepancies=None) -> CurveSummary:
+def precision_and_success(errors, thresholds=DEFAULT_THRESHOLDS) -> CurveSummary:
     """Fractions of samples strictly below each threshold.
 
-    ``errors`` drives the precision curve; ``discrepancies`` (defaulting
-    to the same values) drives the success curve.  Non-finite entries
-    count as failures at every threshold.
+    The same curve is returned as the precision and the success curve
+    (see the module note).  Non-finite entries count as failures at every
+    threshold.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
@@ -105,22 +105,13 @@ def precision_and_success(errors, thresholds=DEFAULT_THRESHOLDS, discrepancies=N
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
-    if discrepancies is None:
-        discrepancies = errors
-    discrepancies = np.asarray(discrepancies, dtype=float)
-
-    def curve(values) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (t, float(np.mean(np.where(np.isfinite(values), values, np.inf) < t)))
-            for t in thresholds
-        )
-
-    p = curve(errors)
-    s = curve(discrepancies)
+    finite = np.where(np.isfinite(errors), errors, np.inf)
+    curve = tuple((t, float(np.mean(finite < t))) for t in thresholds)
+    average = float(np.mean([f for _, f in curve]))
     return CurveSummary(
-        precision=p,
-        success=s,
-        average_precision=float(np.mean([f for _, f in p])),
-        average_success=float(np.mean([f for _, f in s])),
+        precision=curve,
+        success=curve,
+        average_precision=average,
+        average_success=average,
         thresholds=thresholds,
     )

@@ -33,22 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import ImageGrid, bilinear_sample
-from .sl3 import (
-    aspect_matrix,
-    compose_homography,
-    generators,
-    params_from_coeffs,
-    perspective_x_matrix,
-    perspective_y_matrix,
-    rotation_scale_matrix,
-    shear_matrix,
-    translation_matrix,
-)
+from .sl3 import FACTOR_COEFFS, compose_homography, factor_matrices, generators
 
 __all__ = ["refine", "residual_jacobian"]
 
-# Pyramid: 2x2 box reductions while both sides stay even and at least
-# _MIN_SIDE (an 8-pixel level has too few pixels for eight coefficients and
+# Pyramid: 2x2 box reductions while both sides stay at least _MIN_SIDE
+# (an 8-pixel level has too few pixels for eight coefficients and
 # sends the identity start astray).  The finest level refined is the first
 # whose larger side is at most _FINEST_SIDE, and the _DUAL_START_LEVELS
 # coarsest levels run from both starts.
@@ -67,8 +57,6 @@ _MIN_VALID = 16
 # neighbor it weights is valid.
 _MASK_FULL = 1.0 - 1e-9
 
-# Factor of the six-factor product each coefficient belongs to.
-_FACTOR_OF = (0, 0, 1, 1, 2, 3, 4, 5)
 _GENERATORS = np.stack(generators())
 
 
@@ -83,6 +71,7 @@ class _Level:
     valid: np.ndarray
     search: ImageGrid
     points: np.ndarray  # (h*w, 3) homogeneous center-origin coordinates
+    offset: np.ndarray  # (2,) ``points`` minus the level's own center-origin coordinates
     scale: np.ndarray   # level coefficients are ``scale * b``
 
 
@@ -141,7 +130,7 @@ def residual_jacobian(
     """
     free = np.array(free, dtype=int)
     t, s = _plane(template), _plane(search)
-    level = _level(t, t != 0.0, s, s != 0.0, 0)
+    level = _level(t, t != 0.0, s, s != 0.0, np.zeros(2), 0)
     ev = _evaluate(level, np.asarray(b, dtype=float))
     if ev is None:
         return np.zeros(0), np.zeros(template.pixels.shape[:2], bool), np.zeros((0, free.size))
@@ -156,13 +145,18 @@ def _pyramid(template: ImageGrid, search: ImageGrid) -> list[_Level]:
     """Levels from the coarsest to the finest one refined.
 
     Validity is min-pooled alongside the box average, so a reduced pixel is
-    valid only when its whole full-resolution footprint is.
+    valid only when its whole full-resolution footprint is.  An odd last row
+    or column is dropped before a reduction; the half-pixel shift this puts
+    between the level's center and the full image's accumulates in the
+    level's offset.
     """
     t, s = _plane(template), _plane(search)
-    planes = [(t, t != 0.0, s, s != 0.0)]
-    while all(side % 2 == 0 and side // 2 >= _MIN_SIDE for side in planes[-1][0].shape):
-        t, tm, s, sm = planes[-1]
-        planes.append((_reduce(t), _pool(tm), _reduce(s), _pool(sm)))
+    planes = [(t, t != 0.0, s, s != 0.0, np.zeros(2))]
+    while all(side // 2 >= _MIN_SIDE for side in planes[-1][0].shape):
+        h, w = planes[-1][0].shape
+        t, tm, s, sm = (p[: h - h % 2, : w - w % 2] for p in planes[-1][:4])
+        offset = (planes[-1][4] - 0.5 * np.array([w % 2, h % 2])) / 2.0
+        planes.append((_reduce(t), _pool(tm), _reduce(s), _pool(sm), offset))
     finest = next(
         (k for k, p in enumerate(planes) if max(p[0].shape) <= _FINEST_SIDE),
         len(planes) - 1,
@@ -171,7 +165,7 @@ def _pyramid(template: ImageGrid, search: ImageGrid) -> list[_Level]:
 
 
 def _reduce(plane: np.ndarray) -> np.ndarray:
-    """2x2 box average; exact in center-origin coordinates for even sizes."""
+    """2x2 box average of an even-sized plane."""
     return 0.25 * (plane[0::2, 0::2] + plane[0::2, 1::2] + plane[1::2, 0::2] + plane[1::2, 1::2])
 
 
@@ -179,11 +173,11 @@ def _pool(mask: np.ndarray) -> np.ndarray:
     return mask[0::2, 0::2] & mask[0::2, 1::2] & mask[1::2, 0::2] & mask[1::2, 1::2]
 
 
-def _level(template, template_valid, search, search_valid, k: int) -> _Level:
+def _level(template, template_valid, search, search_valid, offset, k: int) -> _Level:
     h, w = template.shape
     factor = 2.0**k
-    xs = np.arange(w) - (w - 1) / 2.0
-    ys = np.arange(h) - (h - 1) / 2.0
+    xs = np.arange(w) - (w - 1) / 2.0 + offset[0]
+    ys = np.arange(h) - (h - 1) / 2.0 + offset[1]
     xx, yy = np.meshgrid(xs, ys)
     grad_x, grad_y = _gradient(template)
     return _Level(
@@ -193,6 +187,7 @@ def _level(template, template_valid, search, search_valid, k: int) -> _Level:
         valid=_erode(template_valid),
         search=ImageGrid(np.stack([search, search_valid.astype(float)], axis=-1)),
         points=np.stack([xx.ravel(), yy.ravel(), np.ones(h * w)], axis=1),
+        offset=offset,
         scale=np.array([1 / factor, 1 / factor, 1, 1, 1, 1, factor, factor]),
     )
 
@@ -224,7 +219,7 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
     q = level.points @ h.T
     if not np.all(q[:, 2] > 0.0):  # the horizon crosses the template
         return None
-    uv = q[:, :2] / q[:, 2:3]
+    uv = q[:, :2] / q[:, 2:3] - level.offset
     if not np.all(np.isfinite(uv)):
         return None
     sampled = bilinear_sample(level.search, uv).reshape(level.template.shape + (2,))
@@ -262,20 +257,14 @@ def _tangents(b: np.ndarray) -> np.ndarray:
     factor ``k`` inserts ``A_i`` after it; moving it to the right end of the
     product conjugates it by the factors that follow.
     """
-    x = params_from_coeffs(b)
-    factors = (
-        translation_matrix(x[0], x[1]),
-        rotation_scale_matrix(x[2], x[3]),
-        aspect_matrix(x[4]),
-        shear_matrix(x[5]),
-        perspective_x_matrix(x[6]),
-        perspective_y_matrix(x[7]),
-    )
+    factors = factor_matrices(b)
     tails = [np.eye(3)]
     for factor in reversed(factors[1:]):
         tails.insert(0, factor @ tails[0])
     return np.stack([
-        np.linalg.solve(tails[k], _GENERATORS[i] @ tails[k]) for i, k in enumerate(_FACTOR_OF)
+        np.linalg.solve(tails[k], _GENERATORS[i] @ tails[k])
+        for k, coeffs in enumerate(FACTOR_COEFFS)
+        for i in coeffs
     ])
 
 

@@ -24,7 +24,7 @@ from .sl3 import compose_homography
 from .warps import COEFF_INDICES, WarpConfig, WarpKind, predicted_shift, warp_image
 
 __all__ = ["SensitivityResult", "warp_sensitivity", "write_sensitivity_csv",
-           "DEFAULT_NUISANCE"]
+           "DEFAULT_NUISANCE", "DEFAULT_SPAN"]
 
 # Default nuisance coefficient probed for each warp: the next subgroup in
 # the factor order (the first one whose residual the stage actually sees).
@@ -35,6 +35,9 @@ DEFAULT_NUISANCE = {
     WarpKind.PERSPECTIVE_1: 7,
     WarpKind.PERSPECTIVE_2: 6,
 }
+
+# Half-width of the default value grid swept for each coefficient position.
+DEFAULT_SPAN = (0.1, 0.1, 0.6, 0.26, 0.2, 0.15, 1e-4, 1e-4)
 
 
 @dataclass(frozen=True)

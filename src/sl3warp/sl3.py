@@ -14,6 +14,7 @@ scale go through ``projective_distance``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "shear_matrix",
     "perspective_x_matrix",
     "perspective_y_matrix",
+    "FACTOR_COEFFS",
+    "factor_matrices",
     "compose_homography",
     "decompose_homography",
     "exp_sl3",
@@ -145,22 +148,32 @@ def perspective_y_matrix(v2: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, v2, 1.0]])
 
 
+# Coefficient positions of each of the six factors, in product order:
+# translation, rotation+scale, aspect, shear, then the two perspective
+# directions.  The estimation cascade runs its stages in the same order.
+FACTOR_COEFFS = ((0, 1), (2, 3), (4,), (5,), (6,), (7,))
+
+
+def factor_matrices(b) -> tuple[np.ndarray, ...]:
+    """The six subgroup factors of ``b``, one per entry of ``FACTOR_COEFFS``."""
+    x = params_from_coeffs(b)
+    return (
+        translation_matrix(x[0], x[1]),
+        rotation_scale_matrix(x[2], x[3]),
+        aspect_matrix(x[4]),
+        shear_matrix(x[5]),
+        perspective_x_matrix(x[6]),
+        perspective_y_matrix(x[7]),
+    )
+
+
 def compose_homography(b) -> np.ndarray:
     """Build the homography as the ordered product of the six subgroup factors.
 
-    Factor order: translation, rotation+scale, aspect, shear, then the two
-    perspective factors.  The result is normalized to ``det = 1``.
+    The factors of :func:`factor_matrices` are multiplied left to right and
+    the result is normalized to ``det = 1``.
     """
-    x = params_from_coeffs(b)
-    h = (
-        translation_matrix(x[0], x[1])
-        @ rotation_scale_matrix(x[2], x[3])
-        @ aspect_matrix(x[4])
-        @ shear_matrix(x[5])
-        @ perspective_x_matrix(x[6])
-        @ perspective_y_matrix(x[7])
-    )
-    return normalize_homography(h)
+    return normalize_homography(functools.reduce(np.matmul, factor_matrices(b)))
 
 
 def decompose_homography(h) -> np.ndarray:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import ImageGrid, bilinear_sample
+from .sl3 import FACTOR_COEFFS
 
 __all__ = [
     "WarpKind",
@@ -50,14 +51,9 @@ class WarpKind(enum.Enum):
     PERSPECTIVE_2 = "persp2"
 
 
-# Coefficient positions (0-based into b) each warp informs.
-COEFF_INDICES = {
-    WarpKind.SCALE_ROTATION: (2, 3),
-    WarpKind.ASPECT_RATIO: (4,),
-    WarpKind.SHEAR: (5,),
-    WarpKind.PERSPECTIVE_1: (6,),
-    WarpKind.PERSPECTIVE_2: (7,),
-}
+# Coefficient positions (0-based into b) each warp informs: one warp per
+# factor after the translation, declared in factor order.
+COEFF_INDICES = dict(zip(WarpKind, FACTOR_COEFFS[1:]))
 
 # Quadrant reflection signs for the aspect-ratio warp, channel order fixed.
 _QUADRANT_SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from sl3warp.benchmark import run_benchmark, write_report_json
+from sl3warp.cascade import EstimatorConfig, estimate
 from sl3warp.cli import cli
 from sl3warp.metrics import alignment_error, template_corners
-from sl3warp.raster import save_image
+from sl3warp.raster import load_image, save_image
 from sl3warp.synth import PRESETS, generate_dataset, texture
+from sl3warp.warps import WarpConfig
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +33,21 @@ class TestRunBenchmark:
         assert a.thresholds != b.thresholds
         assert a.mace == b.mace
 
-    def test_workers_do_not_change_results(self, dataset):
-        a = run_benchmark(dataset, workers=1)
-        b = run_benchmark(dataset, workers=4)
-        assert [s.corner_error for s in a.samples] == [s.corner_error for s in b.samples]
-        assert [s.index for s in b.samples] == sorted(s.index for s in b.samples)
+    def test_records_match_serial_estimates(self, dataset):
+        # the pool changes neither the per-sample results nor their order
+        report = run_benchmark(dataset)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        config = EstimatorConfig(warp=WarpConfig(n=128))
+        assert [s.index for s in report.samples] == [r["index"] for r in manifest["samples"]]
+        for record, rec in zip(report.samples, manifest["samples"]):
+            result = estimate(
+                load_image(dataset / rec["template"]), load_image(dataset / rec["search"]), config
+            )
+            h_true = np.array(json.loads((dataset / rec["gt"]).read_text())["h"]).reshape(3, 3)
+            assert record.corner_error == alignment_error(
+                result.h_hat, h_true, template_corners(128, 128)
+            )
+            assert record.b_hat == tuple(float(v) for v in result.b_hat)
 
     def test_estimate_cli_matches_benchmark_record(self, dataset, tmp_path):
         report = run_benchmark(dataset)

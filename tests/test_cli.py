@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sl3warp
 from sl3warp.cli import cli
 from sl3warp.raster import load_image, save_image
 from sl3warp.sl3 import compose_homography
@@ -24,6 +29,17 @@ class TestComposeDecompose:
         assert cli(["compose", "--b"] + ["0"] * 8) == 0
         out = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(np.array(out["h"]).reshape(3, 3), np.eye(3), atol=1e-15)
+
+    def test_module_entry_point(self):
+        # ``python -m sl3warp.cli`` runs the command line of this source tree
+        env = {**os.environ, "PYTHONPATH": str(Path(sl3warp.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl3warp.cli", "compose", "--b"] + ["0"] * 8,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        h = np.array(json.loads(proc.stdout)["h"]).reshape(3, 3)
+        np.testing.assert_allclose(h, np.eye(3), atol=1e-15)
 
     def test_round_trip_through_cli(self, capsys):
         b = [2.0, -1.0, 0.3, 0.1, -0.05, 0.02, 1e-4, -1e-4]

@@ -108,11 +108,6 @@ class TestCurves:
         summary = precision_and_success([math.inf, 1.0], thresholds=[5.0])
         assert summary.precision[0][1] == 0.5
 
-    def test_separate_discrepancies(self):
-        summary = precision_and_success([1.0], thresholds=[2.0], discrepancies=[3.0])
-        assert summary.precision[0][1] == 1.0
-        assert summary.success[0][1] == 0.0
-
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             precision_and_success([])

@@ -8,7 +8,7 @@ from sl3warp.metrics import alignment_error, template_corners
 from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp import refine as refine_module
 from sl3warp.refine import refine, residual_jacobian
-from sl3warp.sl3 import compose_homography
+from sl3warp.sl3 import compose_homography, translation_matrix
 from sl3warp.synth import make_pair, mask_corners
 from sl3warp.warps import WarpConfig
 
@@ -87,6 +87,19 @@ class TestRefine:
         search = mask_corners(middle_pair.search, radius)
         b = refine(template, search, np.zeros(8), range(8))
         error = alignment_error(compose_homography(b), middle_pair.h_true, template_corners(256, 256))
+        assert error < 0.1
+
+    @pytest.mark.parametrize("shape", [(255, 255), (255, 256)])
+    def test_odd_sides_get_a_pyramid(self, middle_pair, shape):
+        # dropping the last row or column moves the center by half a pixel
+        h, w = shape
+        template = ImageGrid(middle_pair.template.pixels[:h, :w])
+        search = ImageGrid(middle_pair.search.pixels[:h, :w])
+        shift = translation_matrix((256 - w) / 2.0, (256 - h) / 2.0)
+        h_true = shift @ middle_pair.h_true @ np.linalg.inv(shift)
+        assert len(refine_module._pyramid(template, search)) >= 3
+        b = refine(template, search, np.zeros(8), range(8))
+        error = alignment_error(compose_homography(b), h_true, template_corners(w, h))
         assert error < 0.1
 
     def test_only_free_coefficients_move(self, middle_pair):
