@@ -23,7 +23,7 @@ from sl3warp.sensitivity import (
     write_sensitivity_csv,
 )
 from sl3warp.synth import texture
-from sl3warp.warps import COEFF_INDICES, WarpConfig, WarpKind
+from sl3warp.warps import COEFF_INDICES, WarpKind
 
 
 def main():
@@ -37,7 +37,6 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     probe = texture(args.probe_size, seed=args.seed)
-    config = WarpConfig(n=args.probe_size)
     for kind in WarpKind:
         span_p = DEFAULT_SPAN[COEFF_INDICES[kind][0]]
         span_n = DEFAULT_SPAN[DEFAULT_NUISANCE[kind]]
@@ -46,7 +45,6 @@ def main():
             np.linspace(-span_p, span_p, args.points),
             np.linspace(-span_n, span_n, args.points),
             probe,
-            config,
         )
         path = out / f"sensitivity_{kind.value}.csv"
         write_sensitivity_csv(result, path)

@@ -33,7 +33,6 @@ from .raster import (  # noqa: F401
 from .warps import (  # noqa: F401
     WarpConfig,
     WarpKind,
-    WarpedImage,
     predicted_shift,
     recover_coeffs,
     sample_coords,

@@ -16,7 +16,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,23 +59,7 @@ class BenchmarkReport:
     runtime_ms_total: float
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["samples"] = [
-            {
-                "index": s.index,
-                "corner_error": s.corner_error,
-                "confidence": s.confidence,
-                "runtime_ms": s.runtime_ms,
-                "b_hat": list(s.b_hat),
-                "b_true": list(s.b_true),
-            }
-            for s in self.samples
-        ]
-        d["thresholds"] = list(self.thresholds)
-        d["precision_curve"] = [list(p) for p in self.precision_curve]
-        d["success_curve"] = [list(p) for p in self.success_curve]
-        d["tool_version"] = __version__
-        return d
+        return {**asdict(self), "tool_version": __version__}
 
 
 def _config_dict(config: EstimatorConfig) -> dict:
@@ -108,8 +92,8 @@ def _evaluate_one(dataset_dir: Path, rec: dict, config: EstimatorConfig, corners
 def run_benchmark(dataset_dir, stages=None, thresholds=DEFAULT_THRESHOLDS) -> BenchmarkReport:
     """Estimate every pair in ``dataset_dir`` and aggregate the metrics.
 
-    The estimator's warp is sized to the dataset's crop, and ``stages``
-    selects a cascade subset.  Corner errors are measured at the four
+    The estimator's warp is the largest even one that fits the dataset's
+    crop, and ``stages`` selects a cascade subset.  Corner errors are measured at the four
     corners of the template crop in center-origin coordinates; the success
     score is the corner error of the centered unit square scaled to the
     template, which is the same construction.
@@ -118,7 +102,7 @@ def run_benchmark(dataset_dir, stages=None, thresholds=DEFAULT_THRESHOLDS) -> Be
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
     crop = manifest.get("crop", 256)
     config = EstimatorConfig(
-        warp=WarpConfig(n=crop),
+        warp=WarpConfig.for_width(crop),
         stages=tuple(stages) if stages is not None else CASCADE_ORDER,
     )
     corners = template_corners(crop, crop)

@@ -44,15 +44,8 @@ class Stage(enum.Enum):
 
 
 # One stage per factor, in product order: stage k estimates FACTOR_COEFFS[k].
+# Every stage after the translation shares its value with its WarpKind.
 CASCADE_ORDER = tuple(Stage)
-
-_STAGE_TO_WARP = {
-    Stage.SCALE_ROTATION: WarpKind.SCALE_ROTATION,
-    Stage.ASPECT_RATIO: WarpKind.ASPECT_RATIO,
-    Stage.SHEAR: WarpKind.SHEAR,
-    Stage.PERSPECTIVE_1: WarpKind.PERSPECTIVE_1,
-    Stage.PERSPECTIVE_2: WarpKind.PERSPECTIVE_2,
-}
 
 # Correlator settings, tuned on seeded middle-range pairs.  The translation
 # stage sees the raw geometric mismatch of every later subgroup, so it gets
@@ -198,9 +191,9 @@ def estimate_stage(
         update = np.zeros(8)
         update[0], update[1] = mu[0], mu[1]
     else:
-        kind = _STAGE_TO_WARP[stage]
-        wt = warp_image(template, kind, config.warp).grid
-        ws = warp_image(search, kind, config.warp).grid
+        kind = WarpKind(stage.value)
+        wt = warp_image(template, kind, config.warp)
+        ws = warp_image(search, kind, config.warp)
         if kind is WarpKind.ASPECT_RATIO:
             span = config.warp.n // 2 + _ASPECT_CONTENT_MARGIN
             wt = ImageGrid(wt.pixels[:span, :span, :])

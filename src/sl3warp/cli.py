@@ -64,8 +64,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--search", required=True)
     p.add_argument("--stages", nargs="*", default=None,
                    choices=[s.value for s in CASCADE_ORDER])
-    p.add_argument("--n", type=int, default=None,
-                   help="warp size (defaults to the template width)")
     p.add_argument("--out", default=None, help="write the result JSON here")
 
     p = sub.add_parser("gen-dataset", help="synthesize a ground-truth dataset")
@@ -120,8 +118,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_warp(args) -> int:
     image = load_image(args.input)
     config = WarpConfig(n=args.n, phi1=args.phi1, phi2=args.phi2)
-    warped = warp_image(image, WarpKind(args.kind), config)
-    grid = warped.grid
+    grid = warp_image(image, WarpKind(args.kind), config)
     if grid.channels not in (1, 3):
         # the four-quadrant warp is written channel-planes-stacked vertically
         grid = ImageGrid(grid.pixels.transpose(2, 0, 1).reshape(-1, grid.width))
@@ -132,8 +129,8 @@ def _cmd_warp(args) -> int:
 def _cmd_estimate(args) -> int:
     template = load_image(args.template)
     search = load_image(args.search)
-    n = args.n if args.n is not None else template.width
-    config = EstimatorConfig(warp=WarpConfig(n=n), stages=_stages_from_names(args.stages))
+    config = EstimatorConfig(warp=WarpConfig.for_width(template.width),
+                             stages=_stages_from_names(args.stages))
     result = estimate(template, search, config)
     payload = json.dumps(result.to_dict(), indent=1)
     if args.out:
@@ -178,7 +175,7 @@ def _cmd_sensitivity(args) -> int:
     kind = WarpKind(args.kind)
     primary = COEFF_INDICES[kind][0]
     nuisance = args.nuisance - 1 if args.nuisance is not None else DEFAULT_NUISANCE[kind]
-    if not 0 <= (nuisance) <= 7:
+    if not 0 <= nuisance <= 7:
         raise _UsageError("nuisance coefficient index must be in 1..8")
     span_p = DEFAULT_SPAN[primary]
     span_n = DEFAULT_SPAN[nuisance]
@@ -188,7 +185,6 @@ def _cmd_sensitivity(args) -> int:
         np.linspace(-span_p, span_p, args.points),
         np.linspace(-span_n, span_n, args.points),
         probe,
-        config=WarpConfig(n=args.probe_size),
         nuisance_coeff=nuisance,
     )
     write_sensitivity_csv(result, args.out)

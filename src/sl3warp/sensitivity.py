@@ -67,7 +67,7 @@ def warp_sensitivity(
     subgroup's coefficient and must not belong to it.
     """
     if config is None:
-        config = WarpConfig(n=probe.width)
+        config = WarpConfig.for_width(probe.width)
     own = COEFF_INDICES[kind]
     if primary_coeff is None:
         primary_coeff = own[0]
@@ -78,7 +78,7 @@ def warp_sensitivity(
     if nuisance_coeff in own:
         raise ValueError("nuisance coefficient must lie outside the warp's subgroup")
 
-    reference = warp_image(probe, kind, config).grid
+    reference = warp_image(probe, kind, config)
     primary_values = tuple(float(v) for v in primary_values)
     nuisance_values = tuple(float(v) for v in nuisance_values)
 
@@ -94,7 +94,7 @@ def warp_sensitivity(
             if not b.any():
                 continue  # identity grid point: offset stays (0, 0)
             transformed = warp_by_homography(probe, compose_homography(b))
-            warped = warp_image(transformed, kind, config).grid
+            warped = warp_image(transformed, kind, config)
             mu, _ = phase_correlate(
                 reference,
                 warped,

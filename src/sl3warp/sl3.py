@@ -229,11 +229,7 @@ def exp_sl3(b) -> np.ndarray:
 
 def normalize_homography(h) -> np.ndarray:
     """Rescale so that ``det H = 1`` (the unique real cube-root scaling)."""
-    h = _as_matrix(h)
-    d = float(np.linalg.det(h))
-    scale = float(np.linalg.norm(h))
-    if scale == 0.0 or abs(d) < (1e-9 * scale) ** 3:
-        raise SingularMatrixError("matrix is singular or nearly singular")
+    h, d, _ = _nonsingular(h)
     return h / np.cbrt(d)
 
 
@@ -247,12 +243,22 @@ def projective_distance(h1, h2) -> float:
     return float(np.linalg.norm(_unit_projective(h1) - _unit_projective(h2)))
 
 
-def _unit_projective(h) -> np.ndarray:
+def _nonsingular(h) -> tuple[np.ndarray, float, float]:
+    """``h`` as a matrix with its determinant and Frobenius norm.
+
+    Raises :class:`SingularMatrixError` when the determinant is negligible
+    against the norm.
+    """
     h = _as_matrix(h)
     d = float(np.linalg.det(h))
     scale = float(np.linalg.norm(h))
     if scale == 0.0 or abs(d) < (1e-9 * scale) ** 3:
         raise SingularMatrixError("matrix is singular or nearly singular")
+    return h, d, scale
+
+
+def _unit_projective(h) -> np.ndarray:
+    h, _, scale = _nonsingular(h)
     u = h / scale
     if u.flat[np.abs(u).argmax()] < 0:
         u = -u

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .metrics import template_corners
 from .raster import ImageGrid, center_crop, load_image, save_image, warp_by_homography
 from .sl3 import apply_homography, coeffs_from_params, compose_homography
 
@@ -127,11 +128,7 @@ def make_pair(image: ImageGrid, b, crop: int | tuple[int, int], seed: int = 0) -
     b = np.asarray(b, dtype=float)
     h = compose_homography(b)
 
-    half_w, half_h = s_side / 2.0, s_side / 2.0
-    corners = np.array(
-        [[-half_w, -half_h], [half_w, -half_h], [-half_w, half_h], [half_w, half_h]]
-    )
-    sources = apply_homography(np.linalg.inv(h), corners)
+    sources = apply_homography(np.linalg.inv(h), template_corners(s_side, s_side))
     if not np.all(np.isfinite(sources)):
         raise MarginError("search crop crosses the horizon of the transform")
     # +1 pixel of bilinear footprint on the farthest sampled point

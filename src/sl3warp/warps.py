@@ -12,11 +12,12 @@ subgroup becomes a plain translation of the warped raster:
 * perspective x/y -> reciprocal sampling along one axis, offset away from
   the pole by ``phi1`` and rescaled by ``phi2``.
 
-``sample_coords`` maps warped-grid coordinates to source coordinates,
-``recover_coeffs`` turns a measured peak displacement back into algebra
-coefficients, and ``predicted_shift`` is its exact inverse (the analytic
-pseudo-translation).  For an ``n``-sized warp the log base is pinned to
-``n/2`` so the usable parameter range matches the image extent.
+``sample_coords`` maps warped-grid coordinates to source coordinates.
+Each warp's pseudo-translation is linear in its own coefficients, and one
+``(2, k)`` matrix per warp states that law: ``predicted_shift`` applies it
+and ``recover_coeffs`` is its least-squares inverse.  For an ``n``-sized
+warp the log base is pinned to ``n/2`` so the usable parameter range
+matches the image extent.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .sl3 import FACTOR_COEFFS
 __all__ = [
     "WarpKind",
     "WarpConfig",
-    "WarpedImage",
     "sample_coords",
     "recover_coeffs",
     "predicted_shift",
@@ -56,7 +56,7 @@ class WarpKind(enum.Enum):
 COEFF_INDICES = dict(zip(WarpKind, FACTOR_COEFFS[1:]))
 
 # Quadrant reflection signs for the aspect-ratio warp, channel order fixed.
-_QUADRANT_SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+_QUADRANT_SIGNS = np.array(((1, 1), (-1, 1), (1, -1), (-1, -1)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,14 @@ class WarpConfig:
         if self.phi1 <= 0 or self.phi2 <= 0:
             raise ValueError("phi1 and phi2 must be positive")
 
+    @classmethod
+    def for_width(cls, width: int) -> "WarpConfig":
+        """The largest even warp that fits an image ``width`` pixels wide."""
+        return cls(n=width - width % 2)
+
     @property
     def log_base(self) -> float:
         return self.n / 2.0
-
-
-@dataclass(frozen=True)
-class WarpedImage:
-    grid: ImageGrid
-    kind: WarpKind
-    config: WarpConfig
 
 
 def warp_grid_mu(kind: WarpKind, config: WarpConfig) -> np.ndarray:
@@ -148,35 +146,40 @@ def _sign(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0, -1.0)
 
 
+def _shift_matrix(kind: WarpKind, config: WarpConfig) -> np.ndarray:
+    """Warped-image shift per unit of each of the warp's own coefficients.
+
+    Shape ``(2, k)`` with ``k = len(COEFF_INDICES[kind])``; columns follow
+    ``COEFF_INDICES[kind]``, rows are the warped (column, row) axes.
+    """
+    n = float(config.n)
+    log_s = math.log(config.log_base)
+    if kind is WarpKind.SCALE_ROTATION:
+        return np.array([[0.0, n / log_s], [n / (2.0 * math.pi), 0.0]])
+    if kind is WarpKind.ASPECT_RATIO:
+        return np.array([[1.0], [-1.0]]) * (n / (2.0 * log_s))
+    if kind is WarpKind.SHEAR:
+        return np.array([[n / 2.0], [0.0]])
+    if kind is WarpKind.PERSPECTIVE_1:
+        return np.array([[n * config.phi2 / 2.0], [0.0]])
+    if kind is WarpKind.PERSPECTIVE_2:
+        return np.array([[0.0], [n * config.phi2 / 2.0]])
+    raise ValueError(f"unknown warp kind {kind}")  # pragma: no cover
+
+
 def recover_coeffs(kind: WarpKind, config: WarpConfig, mu_hat) -> np.ndarray:
     """Coefficient update implied by a peak displacement in the warped image.
 
-    Returns a full 8-vector with only the warp's own entries filled.  The
-    aspect warp reconciles its two redundant axis estimates by the
-    symmetric average; one-parameter warps ignore their non-informative
-    axis.  Exactly inverts :func:`predicted_shift`.
+    Returns a full 8-vector with only the warp's own entries filled: the
+    least-squares inverse of :func:`predicted_shift`, which averages the
+    aspect warp's two redundant axis estimates and ignores the
+    non-informative axis of a one-parameter warp.
     """
-    d1, d2 = float(mu_hat[0]), float(mu_hat[1])
-    if not (math.isfinite(d1) and math.isfinite(d2)):
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    if not np.all(np.isfinite(mu_hat)):
         raise ValueError("peak displacement must be finite")
-    n = float(config.n)
-    log_s = math.log(config.log_base)
     b = np.zeros(8)
-    if kind is WarpKind.SCALE_ROTATION:
-        b[2] = 2.0 * math.pi * d2 / n
-        b[3] = d1 * log_s / n
-    elif kind is WarpKind.ASPECT_RATIO:
-        est_pos = 2.0 * d1 * log_s / n   # estimates +b5
-        est_neg = 2.0 * d2 * log_s / n   # estimates -b5
-        b[4] = (est_pos - est_neg) / 2.0
-    elif kind is WarpKind.SHEAR:
-        b[5] = 2.0 * d1 / n
-    elif kind is WarpKind.PERSPECTIVE_1:
-        b[6] = 2.0 * d1 / (n * config.phi2)
-    elif kind is WarpKind.PERSPECTIVE_2:
-        b[7] = 2.0 * d2 / (n * config.phi2)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown warp kind {kind}")
+    b[list(COEFF_INDICES[kind])] = np.linalg.pinv(_shift_matrix(kind, config)) @ mu_hat
     return b
 
 
@@ -184,26 +187,13 @@ def predicted_shift(kind: WarpKind, config: WarpConfig, b) -> np.ndarray:
     """Analytic pseudo-translation of the warped image for coefficients ``b``.
 
     This is the displacement an in-subgroup transform of the source image
-    produces in its warp, and the exact inverse of :func:`recover_coeffs`.
+    produces in its warp; coefficients outside the subgroup are ignored.
     """
     b = np.asarray(b, dtype=float)
-    n = float(config.n)
-    log_s = math.log(config.log_base)
-    if kind is WarpKind.SCALE_ROTATION:
-        return np.array([n * b[3] / log_s, n * b[2] / (2.0 * math.pi)])
-    if kind is WarpKind.ASPECT_RATIO:
-        d = n * b[4] / (2.0 * log_s)
-        return np.array([d, -d])
-    if kind is WarpKind.SHEAR:
-        return np.array([n * b[5] / 2.0, 0.0])
-    if kind is WarpKind.PERSPECTIVE_1:
-        return np.array([n * config.phi2 * b[6] / 2.0, 0.0])
-    if kind is WarpKind.PERSPECTIVE_2:
-        return np.array([0.0, n * config.phi2 * b[7] / 2.0])
-    raise ValueError(f"unknown warp kind {kind}")  # pragma: no cover
+    return _shift_matrix(kind, config) @ b[list(COEFF_INDICES[kind])]
 
 
-def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> WarpedImage:
+def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGrid:
     """Resample an image onto the warp's grid by bilinear interpolation.
 
     Sources outside the image are zero.  The aspect-ratio warp emits four
@@ -211,17 +201,11 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> WarpedIm
     multi-channel inputs are averaged to a single plane first so the
     channel count stays four.
     """
-    if image.pixels.size == 0:
-        raise ValueError("cannot warp an empty image")
-    mu = warp_grid_mu(kind, config)
-    if kind is WarpKind.ASPECT_RATIO:
-        coords = sample_coords(kind, config, mu)
-        plane = ImageGrid(image.pixels.mean(axis=2)) if image.channels > 1 else image
-        chans = [
-            bilinear_sample(plane, coords * np.array([sx, sy], dtype=float))[..., 0]
-            for sx, sy in _QUADRANT_SIGNS
-        ]
-        grid = ImageGrid(np.stack(chans, axis=-1))
-    else:
-        grid = ImageGrid(bilinear_sample(image, sample_coords(kind, config, mu)))
-    return WarpedImage(grid=grid, kind=kind, config=config)
+    coords = sample_coords(kind, config, warp_grid_mu(kind, config))
+    if kind is not WarpKind.ASPECT_RATIO:
+        return ImageGrid(bilinear_sample(image, coords))
+    plane = ImageGrid(image.pixels.mean(axis=2)) if image.channels > 1 else image
+    # one gather per quadrant: a single gather of all four is bit-identical
+    # but twice as slow, its 4n^2-point temporaries no longer fit in cache
+    quadrants = [bilinear_sample(plane, coords * signs)[..., 0] for signs in _QUADRANT_SIGNS]
+    return ImageGrid(np.stack(quadrants, axis=-1))

@@ -59,15 +59,6 @@ COEFF_RANGE = {
     7: (-1e-4, 1e-4),
 }
 
-STAGE_OF_KIND = {
-    WarpKind.SCALE_ROTATION: Stage.SCALE_ROTATION,
-    WarpKind.ASPECT_RATIO: Stage.ASPECT_RATIO,
-    WarpKind.SHEAR: Stage.SHEAR,
-    WarpKind.PERSPECTIVE_1: Stage.PERSPECTIVE_1,
-    WarpKind.PERSPECTIVE_2: Stage.PERSPECTIVE_2,
-}
-
-
 def report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}: criterion {criterion} - {detail}")
 
@@ -126,13 +117,13 @@ def test_criterion_3_equivariance_suite():
     rates = {}
     for k, kind in enumerate(WarpKind):
         probe = texture(256, seed=300 + k)
-        reference = warp_image(probe, kind, config).grid
+        reference = warp_image(probe, kind, config)
         rng = np.random.default_rng(400 + k)
         hits = 0
         for _ in range(50):
             b = in_subgroup_b(kind, rng)
             transformed = warp_by_homography(probe, compose_homography(b))
-            warped = warp_image(transformed, kind, config).grid
+            warped = warp_image(transformed, kind, config)
             mu, _ = phase_correlate(
                 reference,
                 warped,
@@ -156,7 +147,7 @@ def test_criterion_4_per_stage_recovery():
     tolerances = {2: 0.03, 3: 0.03, 4: 0.03, 5: 0.02, 6: 2e-4, 7: 2e-4}
     rates = {}
     for k, kind in enumerate(WarpKind):
-        stage = STAGE_OF_KIND[kind]
+        stage = Stage(kind.value)
         probe = texture(256, seed=500 + k)
         rng = np.random.default_rng(600 + k)
         hits = 0

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import sl3warp
+from sl3warp.cascade import EstimatorConfig, estimate
 from sl3warp.cli import cli
 from sl3warp.raster import load_image, save_image
 from sl3warp.sl3 import compose_homography
-from sl3warp.synth import texture
+from sl3warp.synth import PRESETS, make_pair, sample_coeffs, texture
+from sl3warp.warps import WarpConfig
 
 
 @pytest.fixture()
@@ -112,6 +114,18 @@ class TestEstimateCommand:
         assert [s["kind"] for s in result["stages"]] == ["translation", "scale-rot"]
 
 
+    def test_odd_width_pair_uses_largest_even_warp(self, tmp_path, capsys):
+        pair = make_pair(texture(831, seed=5), sample_coeffs(PRESETS["middle"], (5, 0)), 255)
+        paths = [tmp_path / "t.pgm", tmp_path / "s.pgm"]
+        save_image(pair.template, paths[0])
+        save_image(pair.search, paths[1])
+        assert cli(["estimate", "--template", str(paths[0]),
+                    "--search", str(paths[1])]) == 0
+        template, search = (load_image(p) for p in paths)
+        expected = estimate(template, search, EstimatorConfig(warp=WarpConfig(n=254)))
+        assert json.loads(capsys.readouterr().out) == expected.to_dict()
+
+
 class TestDatasetAndBenchmark:
     def test_gen_dataset_count_zero(self, source_dir, tmp_path, capsys):
         out = tmp_path / "data"
@@ -151,6 +165,19 @@ class TestDatasetAndBenchmark:
             assert frac == pytest.approx(np.mean([e < t for e in errors]), rel=1e-12)
         assert curves_path.read_text().startswith("threshold_px,precision,success")
 
+    def test_odd_crop_from_odd_sources(self, tmp_path, capsys):
+        src = tmp_path / "odd_sources"
+        src.mkdir()
+        save_image(texture(831, seed=60), src / "tex.pgm")
+        data = tmp_path / "data"
+        assert cli(["gen-dataset", "--source", str(src), "--preset", "middle",
+                    "--count", "2", "--seed", "3", "--crop", "255", "--out", str(data)]) == 0
+        report_path = tmp_path / "report.json"
+        assert cli(["benchmark", "--dataset", str(data), "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert len(report["samples"]) == 2
+        assert report["config"]["warp_n"] == 254
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert cli(["benchmark", "--dataset", str(tmp_path / "none"),
                     "--report", str(tmp_path / "r.json")]) == 2
@@ -162,3 +189,9 @@ class TestSensitivityCommand:
         assert cli(["sensitivity", "--kind", "shear", "--out", str(out),
                     "--points", "3", "--probe-size", "64"]) == 0
         assert "# offset_x" in out.read_text()
+
+    def test_odd_probe_size(self, tmp_path, capsys):
+        out = tmp_path / "sens.csv"
+        assert cli(["sensitivity", "--kind", "persp1", "--out", str(out),
+                    "--points", "3", "--probe-size", "255"]) == 0
+        assert "# predicted" in out.read_text()

@@ -48,6 +48,14 @@ class TestWarpConfig:
         with pytest.raises(ValueError):
             WarpConfig(n=64, phi1=0.0)
 
+    @pytest.mark.parametrize("width, n", [(256, 256), (255, 254), (33, 32)])
+    def test_for_width_is_largest_even_fit(self, width, n):
+        assert WarpConfig.for_width(width) == WarpConfig(n=n)
+
+    def test_for_width_too_narrow_rejected(self):
+        with pytest.raises(ValueError):
+            WarpConfig.for_width(31)
+
 
 class TestSampleCoords:
     def test_scale_rotation_origin(self):
@@ -109,6 +117,24 @@ class TestRecovery:
         b = recover_coeffs(WarpKind.ASPECT_RATIO, cfg, (d, -d))
         assert b[4] == pytest.approx(0.2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind, index, value, shift",
+        [
+            # shear: (n * b[5] / 2, 0)
+            (WarpKind.SHEAR, 5, 0.1, (6.4, 0.0)),
+            # perspective x: (n * phi2 * b[6] / 2, 0), with phi2 = 40 (not phi1)
+            (WarpKind.PERSPECTIVE_1, 6, 1e-4, (0.256, 0.0)),
+            # perspective y: (0, n * phi2 * b[7] / 2)
+            (WarpKind.PERSPECTIVE_2, 7, -1e-4, (0.0, -0.256)),
+        ],
+    )
+    def test_one_parameter_closed_forms(self, kind, index, value, shift):
+        cfg = WarpConfig(n=128, phi1=20.0, phi2=40.0)
+        b = np.zeros(8)
+        b[index] = value
+        np.testing.assert_allclose(predicted_shift(kind, cfg, b), shift, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(recover_coeffs(kind, cfg, shift), b, rtol=1e-12, atol=0)
+
     def test_aspect_reconciliation_antisymmetric(self):
         cfg = WarpConfig(n=128)
         fwd = recover_coeffs(WarpKind.ASPECT_RATIO, cfg, (3.0, -1.0))[4]
@@ -156,22 +182,22 @@ class TestWarpImage:
             # sampled-domain pixels: source landed strictly inside the image
             coords = sample_coords(kind, cfg, warp_grid_mu(kind, cfg))
             inside = (np.abs(coords[..., 0]) < 30.5) & (np.abs(coords[..., 1]) < 30.5)
-            vals = warped.grid.pixels[..., 0][inside]
+            vals = warped.pixels[..., 0][inside]
             np.testing.assert_allclose(vals, 0.7, atol=1e-12)
 
     def test_aspect_has_four_channels(self):
         warped = warp_image(smooth_image(64, seed=1), WarpKind.ASPECT_RATIO, WarpConfig(n=64))
-        assert warped.grid.channels == 4
+        assert warped.channels == 4
 
     def test_aspect_multichannel_input_still_four_channels(self):
         img = smooth_image(64, seed=2, channels=3)
         warped = warp_image(img, WarpKind.ASPECT_RATIO, WarpConfig(n=64))
-        assert warped.grid.channels == 4
+        assert warped.channels == 4
 
     def test_channel_count_preserved_otherwise(self):
         img = smooth_image(64, seed=3, channels=3)
         warped = warp_image(img, WarpKind.SHEAR, WarpConfig(n=64))
-        assert warped.grid.channels == 3
+        assert warped.channels == 3
 
     def test_rotation_becomes_vertical_circular_shift(self):
         # warped(rotated I) should equal warped(I) circularly shifted along
@@ -183,8 +209,8 @@ class TestWarpImage:
         b = np.zeros(8)
         b[2] = dtheta
         rotated = warp_by_homography(img, compose_homography(b))
-        w_base = warp_image(img, WarpKind.SCALE_ROTATION, cfg).grid.pixels[..., 0]
-        w_rot = warp_image(rotated, WarpKind.SCALE_ROTATION, cfg).grid.pixels[..., 0]
+        w_base = warp_image(img, WarpKind.SCALE_ROTATION, cfg).pixels[..., 0]
+        w_rot = warp_image(rotated, WarpKind.SCALE_ROTATION, cfg).pixels[..., 0]
         shifted = np.roll(w_base, 10, axis=0)
         # compare away from the outer columns where the rotated image zero-fills
         core = (slice(None), slice(0, 100))
@@ -197,7 +223,7 @@ class TestWarpImage:
         n = 64
         cfg = WarpConfig(n=n)
         img = smooth_image(n, seed=5)
-        warped = warp_image(img, WarpKind.SCALE_ROTATION, cfg).grid.pixels[..., 0]
+        warped = warp_image(img, WarpKind.SCALE_ROTATION, cfg).pixels[..., 0]
         from oracles import bilinear_reference
 
         for row in range(0, n, 13):
