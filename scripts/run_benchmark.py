@@ -53,7 +53,6 @@ def main():
             f"[{name}] samples={len(report.samples)} mace={report.mace:.2f}px "
             f"median={report.median_corner_error:.2f}px "
             f"avg_precision={report.average_precision:.4f} "
-            f"avg_success={report.average_success:.4f} "
             f"runtime={report.runtime_ms_mean:.0f}ms/pair"
         )
     if args.masked:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import CASCADE_ORDER, EstimatorConfig, estimate
-from .metrics import DEFAULT_THRESHOLDS, alignment_error, precision_and_success, template_corners
+from .metrics import alignment_error, precision_and_success, template_corners
 from .raster import load_image
 from .warps import WarpConfig
 
@@ -50,11 +50,8 @@ class BenchmarkReport:
     mace: float
     median_corner_error: float
     infinite_errors: int
-    thresholds: tuple[float, ...]
     precision_curve: tuple[tuple[float, float], ...]
-    success_curve: tuple[tuple[float, float], ...]
     average_precision: float
-    average_success: float
     runtime_ms_mean: float
     runtime_ms_total: float
 
@@ -63,12 +60,7 @@ class BenchmarkReport:
 
 
 def _config_dict(config: EstimatorConfig) -> dict:
-    return {
-        "stages": [s.value for s in config.stages],
-        "warp_n": config.warp.n,
-        "phi1": config.warp.phi1,
-        "phi2": config.warp.phi2,
-    }
+    return {"stages": [s.value for s in config.stages], "warp_n": config.warp.n}
 
 
 def _evaluate_one(dataset_dir: Path, rec: dict, config: EstimatorConfig, corners):
@@ -89,14 +81,14 @@ def _evaluate_one(dataset_dir: Path, rec: dict, config: EstimatorConfig, corners
     )
 
 
-def run_benchmark(dataset_dir, stages=None, thresholds=DEFAULT_THRESHOLDS) -> BenchmarkReport:
+def run_benchmark(dataset_dir, stages=None) -> BenchmarkReport:
     """Estimate every pair in ``dataset_dir`` and aggregate the metrics.
 
     The estimator's warp is the largest even one that fits the dataset's
-    crop, and ``stages`` selects a cascade subset.  Corner errors are measured at the four
-    corners of the template crop in center-origin coordinates; the success
-    score is the corner error of the centered unit square scaled to the
-    template, which is the same construction.
+    crop, and ``stages`` selects a cascade subset.  Corner errors are
+    measured at the four corners of the template crop in center-origin
+    coordinates; the precision curve runs over ``DEFAULT_THRESHOLDS`` and is
+    also the success curve (see :mod:`sl3warp.metrics`).
     """
     dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -118,7 +110,7 @@ def run_benchmark(dataset_dir, stages=None, thresholds=DEFAULT_THRESHOLDS) -> Be
 
     errors = np.array([r.corner_error for r in records]) if records else np.array([])
     finite = errors[np.isfinite(errors)] if errors.size else errors
-    curves = precision_and_success(errors, thresholds) if errors.size else None
+    curves = precision_and_success(errors) if errors.size else None
     return BenchmarkReport(
         dataset=str(dataset_dir),
         corner_convention=corner_note,
@@ -127,11 +119,8 @@ def run_benchmark(dataset_dir, stages=None, thresholds=DEFAULT_THRESHOLDS) -> Be
         mace=float(np.mean(finite)) if finite.size else float("nan"),
         median_corner_error=float(np.median(finite)) if finite.size else float("nan"),
         infinite_errors=int(errors.size - finite.size),
-        thresholds=tuple(float(t) for t in thresholds),
         precision_curve=curves.precision if curves else (),
-        success_curve=curves.success if curves else (),
         average_precision=curves.average_precision if curves else float("nan"),
-        average_success=curves.average_success if curves else float("nan"),
         runtime_ms_mean=float(np.mean([r.runtime_ms for r in records])) if records else 0.0,
         runtime_ms_total=float(np.sum([r.runtime_ms for r in records])) if records else 0.0,
     )
@@ -144,6 +133,5 @@ def write_report_json(report: BenchmarkReport, path) -> None:
 def write_curves_csv(report: BenchmarkReport, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["threshold_px", "precision", "success"])
-        for (t, p), (_, s) in zip(report.precision_curve, report.success_curve):
-            writer.writerow([t, p, s])
+        writer.writerow(["threshold_px", "precision"])
+        writer.writerows(report.precision_curve)

@@ -132,16 +132,16 @@ def _correlate_translation(template: ImageGrid, search: ImageGrid) -> tuple[np.n
             band_limit=_TRANSLATION_BAND_LIMIT,
         )
 
+    direct, direct_conf = fine(search)
+
     def recentered_fit(t0: np.ndarray) -> tuple[np.ndarray, float]:
         if not t0.any():
-            mu, conf = fine(search)
-            return mu, conf
+            return direct, direct_conf  # nothing to re-center: the direct fit
         b0 = np.zeros(8)
         b0[0], b0[1] = t0
         mu, conf = fine(rectify(search, b0))
         return t0 + mu, conf
 
-    direct, direct_conf = fine(search)
     coarse, _ = phase_correlate(template, search, subpixel=False)
     if np.array_equal(np.rint(coarse), np.rint(direct)):
         return direct, direct_conf
@@ -217,10 +217,12 @@ def estimate(
     then refine the coefficients of those stages directly.
 
     Returns the refined coefficients, the composed homography, the
-    per-stage peak diagnostics, and the minimum stage confidence.
+    per-stage peak diagnostics, and the minimum stage confidence.  With no
+    ``config``, every stage runs on the largest even warp that fits the
+    template.
     """
     if config is None:
-        config = EstimatorConfig()
+        config = EstimatorConfig(warp=WarpConfig.for_width(template.width))
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
 

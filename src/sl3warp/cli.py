@@ -53,9 +53,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("warp", help="apply one subgroup warp to a raster file")
     p.add_argument("--kind", choices=[k.value for k in WarpKind], required=True)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--phi1", type=float, default=None)
-    p.add_argument("--phi2", type=float, default=None)
     p.add_argument("--in", dest="input", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
 
@@ -117,8 +114,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_warp(args) -> int:
     image = load_image(args.input)
-    config = WarpConfig(n=args.n, phi1=args.phi1, phi2=args.phi2)
-    grid = warp_image(image, WarpKind(args.kind), config)
+    grid = warp_image(image, WarpKind(args.kind), WarpConfig.for_width(image.width))
     if grid.channels not in (1, 3):
         # the four-quadrant warp is written channel-planes-stacked vertically
         grid = ImageGrid(grid.pixels.transpose(2, 0, 1).reshape(-1, grid.width))
@@ -165,8 +161,7 @@ def _cmd_benchmark(args) -> int:
     print(
         f"samples={len(report.samples)} mace={report.mace:.3f} "
         f"median={report.median_corner_error:.3f} "
-        f"avg_precision={report.average_precision:.4f} "
-        f"avg_success={report.average_success:.4f}"
+        f"avg_precision={report.average_precision:.4f}"
     )
     return 0
 

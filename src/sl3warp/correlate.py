@@ -20,7 +20,6 @@ def phase_correlate(
     a: ImageGrid,
     b: ImageGrid,
     *,
-    window: bool = True,
     window_power: float = 1.0,
     circular_vertical: bool = False,
     subpixel: bool = True,
@@ -37,18 +36,19 @@ def phase_correlate(
     ``circular_vertical`` marks the vertical axis as periodic, exempting it
     from the window (used when correlating scale+rotation warps).
     ``window_power`` raises the Hann taper, concentrating weight toward
-    the center.  ``band_limit`` applies a Gaussian low-pass (sigma in
-    cycles/pixel) to the normalized spectrum to locate the consensus
-    displacement when the two images differ by more than a pure shift; the
-    final peak is then the raw-surface argmax inside that neighborhood, so
-    exact shifts stay exact.
+    the center; ``0.0`` leaves the images unwindowed.  ``band_limit``
+    applies a Gaussian low-pass (sigma in cycles/pixel) to the normalized
+    spectrum to locate the consensus displacement when the two images
+    differ by more than a pure shift; the final peak is then the
+    raw-surface argmax inside that neighborhood, so exact shifts stay
+    exact.
     """
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(
             f"images must have identical shape, got {a.pixels.shape} vs {b.pixels.shape}"
         )
     h, w = a.height, a.width
-    win = _window2d(h, w, window, window_power, circular_vertical)
+    win = _window2d(h, w, window_power, circular_vertical)
 
     spectrum = np.zeros((h, w), dtype=complex)
     for ch in range(a.channels):
@@ -105,11 +105,7 @@ def _guided_argmax(surface: np.ndarray, cy: int, cx: int, radius: int) -> tuple[
     return int(rows[py]), int(cols[px])
 
 
-def _window2d(
-    h: int, w: int, window: bool, power: float, circular_vertical: bool
-) -> np.ndarray:
-    if not window:
-        return np.ones((h, w))
+def _window2d(h: int, w: int, power: float, circular_vertical: bool) -> np.ndarray:
     wx = np.hanning(w) ** power
     wy = np.ones(h) if circular_vertical else np.hanning(h) ** power
     return np.outer(wy, wx)

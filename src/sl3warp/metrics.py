@@ -1,19 +1,19 @@
-"""Corner-error metrics and threshold curves for homography estimates.
+"""Corner-error metrics and the threshold curve for homography estimates.
 
 The alignment error of a predicted homography is the mean L2 displacement
 of four reference corners against the ground-truth mapping.  Aggregates:
-the mean corner error over a sample set, and precision/success curves over
-an integer pixel-threshold grid (fraction of samples strictly below each
-threshold).  The success score uses the same corner construction on the
-centered unit square scaled to the template, which coincides with the
-alignment error under the default corner choice, so the success curve is
-the precision curve.
+the mean corner error over a sample set, and the precision curve over an
+integer pixel-threshold grid (fraction of samples strictly below each
+threshold).  The POT success score uses the same corner construction on
+the centered unit square scaled to the template, which coincides with the
+alignment error under the default corner choice, so the precision curve
+is also the success curve and is stated once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,21 +83,17 @@ def mace(samples, corners) -> float:
 
 @dataclass(frozen=True)
 class CurveSummary:
-    """Threshold curves plus their grid means."""
+    """The threshold curve as ``(threshold, fraction)`` pairs, and its mean."""
 
     precision: tuple[tuple[float, float], ...]
-    success: tuple[tuple[float, float], ...]
     average_precision: float
-    average_success: float
-    thresholds: tuple[float, ...] = field(default=DEFAULT_THRESHOLDS)
 
 
 def precision_and_success(errors, thresholds=DEFAULT_THRESHOLDS) -> CurveSummary:
     """Fractions of samples strictly below each threshold.
 
-    The same curve is returned as the precision and the success curve
-    (see the module note).  Non-finite entries count as failures at every
-    threshold.
+    The precision curve is also the success curve (see the module note).
+    Non-finite entries count as failures at every threshold.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
@@ -107,11 +103,4 @@ def precision_and_success(errors, thresholds=DEFAULT_THRESHOLDS) -> CurveSummary
         raise ValueError("empty threshold grid")
     finite = np.where(np.isfinite(errors), errors, np.inf)
     curve = tuple((t, float(np.mean(finite < t))) for t in thresholds)
-    average = float(np.mean([f for _, f in curve]))
-    return CurveSummary(
-        precision=curve,
-        success=curve,
-        average_precision=average,
-        average_success=average,
-        thresholds=thresholds,
-    )
+    return CurveSummary(precision=curve, average_precision=float(np.mean([f for _, f in curve])))

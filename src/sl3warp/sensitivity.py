@@ -56,18 +56,17 @@ def warp_sensitivity(
     primary_values,
     nuisance_values,
     probe: ImageGrid,
-    config: WarpConfig | None = None,
     primary_coeff: int | None = None,
     nuisance_coeff: int | None = None,
 ) -> SensitivityResult:
     """Measure peak offsets over a (primary, nuisance) coefficient grid.
 
-    ``primary_coeff`` defaults to the warp's first informed coefficient
-    and must belong to the warp; ``nuisance_coeff`` defaults to the next
+    The warp is the largest even one that fits the probe.
+    ``primary_coeff`` defaults to the warp's first informed coefficient and
+    must belong to the warp; ``nuisance_coeff`` defaults to the next
     subgroup's coefficient and must not belong to it.
     """
-    if config is None:
-        config = WarpConfig.for_width(probe.width)
+    config = WarpConfig.for_width(probe.width)
     own = COEFF_INDICES[kind]
     if primary_coeff is None:
         primary_coeff = own[0]

@@ -261,7 +261,7 @@ def generate_dataset(
 
     manifest = {
         "preset": preset_name,
-        "ranges": asdict(ParamRanges(**asdict(ranges))),
+        "ranges": asdict(ranges),
         "seed": seed,
         "mask_radius": mask_radius,
         "crop": crop,

@@ -10,7 +10,7 @@ subgroup becomes a plain translation of the warped raster:
 * shear           -> rows stretched in proportion to their distance from
   the center line,
 * perspective x/y -> reciprocal sampling along one axis, offset away from
-  the pole by ``phi1`` and rescaled by ``phi2``.
+  the pole by ``phi = n/4``, which also rescales the other axis.
 
 ``sample_coords`` maps warped-grid coordinates to source coordinates.
 Each warp's pseudo-translation is linear in its own coefficients, and one
@@ -61,25 +61,13 @@ _QUADRANT_SIGNS = np.array(((1, 1), (-1, 1), (1, -1), (-1, -1)), dtype=float)
 
 @dataclass(frozen=True)
 class WarpConfig:
-    """Warped-image geometry: side length ``n`` plus the perspective offsets.
-
-    ``phi1`` keeps the reciprocal sampling away from its pole and ``phi2``
-    scales the recovered field of view; both default to ``n/4``.
-    """
+    """Warped-image geometry: the side length ``n`` fixes every warp."""
 
     n: int = 256
-    phi1: float | None = None
-    phi2: float | None = None
 
     def __post_init__(self):
         if self.n < 32 or self.n % 2:
             raise ValueError(f"warp size must be even and >= 32, got {self.n}")
-        if self.phi1 is None:
-            object.__setattr__(self, "phi1", self.n / 4.0)
-        if self.phi2 is None:
-            object.__setattr__(self, "phi2", self.n / 4.0)
-        if self.phi1 <= 0 or self.phi2 <= 0:
-            raise ValueError("phi1 and phi2 must be positive")
 
     @classmethod
     def for_width(cls, width: int) -> "WarpConfig":
@@ -89,6 +77,12 @@ class WarpConfig:
     @property
     def log_base(self) -> float:
         return self.n / 2.0
+
+    @property
+    def phi(self) -> float:
+        """Perspective offset: keeps the reciprocal sampling away from its
+        pole and scales the recovered field of view."""
+        return self.n / 4.0
 
 
 def warp_grid_mu(kind: WarpKind, config: WarpConfig) -> np.ndarray:
@@ -131,11 +125,11 @@ def sample_coords(kind: WarpKind, config: WarpConfig, mu) -> np.ndarray:
     elif kind is WarpKind.SHEAR:
         out = np.stack([(2.0 / n) * m1 * m2, m2], axis=-1)
     elif kind is WarpKind.PERSPECTIVE_1:
-        d = m1 + _sign(m1) * config.phi1
-        out = np.stack([config.phi2 * n / (2.0 * d), m2 * n / (2.0 * d)], axis=-1)
+        d = m1 + _sign(m1) * config.phi
+        out = np.stack([config.phi * n / (2.0 * d), m2 * n / (2.0 * d)], axis=-1)
     elif kind is WarpKind.PERSPECTIVE_2:
-        d = m2 + _sign(m2) * config.phi1
-        out = np.stack([m1 * n / (2.0 * d), config.phi2 * n / (2.0 * d)], axis=-1)
+        d = m2 + _sign(m2) * config.phi
+        out = np.stack([m1 * n / (2.0 * d), config.phi * n / (2.0 * d)], axis=-1)
     else:  # pragma: no cover
         raise ValueError(f"unknown warp kind {kind}")
     return out[0] if squeeze else out
@@ -161,9 +155,9 @@ def _shift_matrix(kind: WarpKind, config: WarpConfig) -> np.ndarray:
     if kind is WarpKind.SHEAR:
         return np.array([[n / 2.0], [0.0]])
     if kind is WarpKind.PERSPECTIVE_1:
-        return np.array([[n * config.phi2 / 2.0], [0.0]])
+        return np.array([[n * config.phi / 2.0], [0.0]])
     if kind is WarpKind.PERSPECTIVE_2:
-        return np.array([[0.0], [n * config.phi2 / 2.0]])
+        return np.array([[0.0], [n * config.phi / 2.0]])
     raise ValueError(f"unknown warp kind {kind}")  # pragma: no cover
 
 

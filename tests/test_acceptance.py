@@ -287,7 +287,6 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_sensitivity_diagnostic():
-    config = WarpConfig(n=256)
     worst = 0.0
     for k, kind in enumerate(WarpKind):
         probe = texture(256, seed=800 + k)
@@ -298,7 +297,6 @@ def test_criterion_8_sensitivity_diagnostic():
                 np.linspace(lo, hi, 5),
                 [0.0],
                 probe,
-                config,
                 primary_coeff=coeff,
             )
             gaps = np.linalg.norm(result.offsets[:, 0, :] - result.predicted, axis=1)

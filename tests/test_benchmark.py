@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sl3warp.benchmark import run_benchmark, write_report_json
-from sl3warp.cascade import EstimatorConfig, estimate
+from sl3warp.cascade import CASCADE_ORDER, EstimatorConfig, estimate
 from sl3warp.cli import cli
-from sl3warp.metrics import alignment_error, template_corners
+from sl3warp.metrics import DEFAULT_THRESHOLDS, alignment_error, template_corners
 from sl3warp.raster import load_image, save_image
 from sl3warp.synth import PRESETS, generate_dataset, texture
 from sl3warp.warps import WarpConfig
@@ -25,14 +25,6 @@ def dataset(tmp_path_factory):
 
 
 class TestRunBenchmark:
-    def test_threshold_grid_independence(self, dataset):
-        # per-sample errors never depend on the threshold grid
-        a = run_benchmark(dataset, thresholds=range(1, 11))
-        b = run_benchmark(dataset, thresholds=range(5, 100, 5))
-        assert [s.corner_error for s in a.samples] == [s.corner_error for s in b.samples]
-        assert a.thresholds != b.thresholds
-        assert a.mace == b.mace
-
     def test_records_match_serial_estimates(self, dataset):
         # the pool changes neither the per-sample results nor their order
         report = run_benchmark(dataset)
@@ -76,3 +68,13 @@ class TestRunBenchmark:
         assert loaded["mace"] == report.mace
         assert len(loaded["samples"]) == len(report.samples)
         assert loaded["corner_convention"].startswith("template crop corners")
+
+    def test_report_states_each_field_once(self, dataset, tmp_path):
+        # the precision curve is the success curve; the warp is its size alone
+        path = tmp_path / "report.json"
+        write_report_json(run_benchmark(dataset), path)
+        loaded = json.loads(path.read_text())
+        for key in ("thresholds", "success_curve", "average_success"):
+            assert key not in loaded
+        assert loaded["config"] == {"stages": [s.value for s in CASCADE_ORDER], "warp_n": 128}
+        assert [t for t, _ in loaded["precision_curve"]] == list(DEFAULT_THRESHOLDS)

@@ -186,6 +186,14 @@ class TestEstimate:
         np.testing.assert_array_equal(r1.h_hat, r2.h_hat)
         assert r1.stage_peaks == r2.stage_peaks
 
+    def test_default_config_sizes_warp_from_template(self):
+        b = np.zeros(8)
+        b[0], b[2], b[5] = 2.0, 0.1, 0.03
+        img, search = synthetic_pair(b, seed=13, n=128)
+        np.testing.assert_array_equal(
+            estimate(img, search).b_hat, estimate(img, search, make_config(n=128)).b_hat
+        )
+
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             estimate(smooth_image(64), smooth_image(128), make_config(n=64))

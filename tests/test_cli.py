@@ -70,8 +70,7 @@ class TestWarpCommand:
         src = tmp_path / "in.pgm"
         save_image(texture(64, seed=1), src)
         out = tmp_path / "out.pgm"
-        assert cli(["warp", "--kind", "scale-rot", "--n", "64",
-                    "--in", str(src), "--out", str(out)]) == 0
+        assert cli(["warp", "--kind", "scale-rot", "--in", str(src), "--out", str(out)]) == 0
         img = load_image(out)
         assert (img.height, img.width) == (64, 64)
 
@@ -79,14 +78,20 @@ class TestWarpCommand:
         src = tmp_path / "in.pgm"
         save_image(texture(64, seed=2), src)
         out = tmp_path / "out.pgm"
-        assert cli(["warp", "--kind", "aspect", "--n", "64",
-                    "--in", str(src), "--out", str(out)]) == 0
+        assert cli(["warp", "--kind", "aspect", "--in", str(src), "--out", str(out)]) == 0
         img = load_image(out)
         assert (img.height, img.width) == (256, 64)
 
+    def test_warp_sized_from_the_image(self, tmp_path):
+        src = tmp_path / "in.pgm"
+        save_image(texture(128, seed=4), src)
+        out = tmp_path / "out.pgm"
+        assert cli(["warp", "--kind", "persp1", "--in", str(src), "--out", str(out)]) == 0
+        img = load_image(out)
+        assert (img.height, img.width) == (128, 128)
+
     def test_missing_input_is_data_error(self, tmp_path):
-        assert cli(["warp", "--kind", "shear", "--n", "64",
-                    "--in", str(tmp_path / "nope.pgm"),
+        assert cli(["warp", "--kind", "shear", "--in", str(tmp_path / "nope.pgm"),
                     "--out", str(tmp_path / "out.pgm")]) == 2
 
 
@@ -163,7 +168,7 @@ class TestDatasetAndBenchmark:
         assert report["mace"] == pytest.approx(np.mean(errors), rel=1e-12)
         for t, frac in report["precision_curve"]:
             assert frac == pytest.approx(np.mean([e < t for e in errors]), rel=1e-12)
-        assert curves_path.read_text().startswith("threshold_px,precision,success")
+        assert curves_path.read_text().splitlines()[0] == "threshold_px,precision"
 
     def test_odd_crop_from_odd_sources(self, tmp_path, capsys):
         src = tmp_path / "odd_sources"

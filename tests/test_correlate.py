@@ -23,14 +23,14 @@ class TestPhaseCorrelate:
 
     def test_integer_circular_shift(self):
         img = smooth_image(64, seed=1)
-        mu, conf = phase_correlate(img, rolled(img, 5, -3), window=False, subpixel=False)
+        mu, conf = phase_correlate(img, rolled(img, 5, -3), window_power=0.0, subpixel=False)
         np.testing.assert_array_equal(mu, [5.0, -3.0])
         assert conf > 0.5
 
     def test_matches_brute_force_argmax(self):
         img = smooth_image(32, seed=2)
         shifted = rolled(img, -7, 11)
-        mu, _ = phase_correlate(img, shifted, window=False, subpixel=False)
+        mu, _ = phase_correlate(img, shifted, window_power=0.0, subpixel=False)
         want = brute_force_circular_peak(
             img.pixels[:, :, 0] - img.pixels.mean(),
             shifted.pixels[:, :, 0] - shifted.pixels.mean(),
@@ -56,7 +56,7 @@ class TestPhaseCorrelate:
 
     def test_multichannel_average(self):
         img = smooth_image(64, seed=4, channels=3)
-        mu, conf = phase_correlate(img, rolled(img, 4, 2), window=False, subpixel=False)
+        mu, conf = phase_correlate(img, rolled(img, 4, 2), window_power=0.0, subpixel=False)
         np.testing.assert_array_equal(mu, [4.0, 2.0])
         assert 0.0 <= conf <= 1.0
 
@@ -76,5 +76,5 @@ class TestPhaseCorrelate:
 
     def test_negative_wraparound_convention(self):
         img = smooth_image(64, seed=7)
-        mu, _ = phase_correlate(img, rolled(img, -30, 0), window=False, subpixel=False)
+        mu, _ = phase_correlate(img, rolled(img, -30, 0), window_power=0.0, subpixel=False)
         assert mu[0] == -30.0

@@ -3,7 +3,7 @@ import pytest
 
 from sl3warp.sensitivity import warp_sensitivity, write_sensitivity_csv
 from sl3warp.synth import texture
-from sl3warp.warps import WarpConfig, WarpKind
+from sl3warp.warps import WarpKind
 
 
 @pytest.fixture(scope="module")
@@ -13,9 +13,7 @@ def probe():
 
 class TestWarpSensitivity:
     def test_identity_grid_point_zero_offset(self, probe):
-        result = warp_sensitivity(
-            WarpKind.SHEAR, [0.0], [0.0], probe, WarpConfig(n=128)
-        )
+        result = warp_sensitivity(WarpKind.SHEAR, [0.0], [0.0], probe)
         np.testing.assert_array_equal(result.offsets[0, 0], [0.0, 0.0])
 
     def test_nuisance_free_column_matches_analytic(self, probe):
@@ -24,7 +22,6 @@ class TestWarpSensitivity:
             np.linspace(-0.4, 0.4, 5),
             [0.0],
             probe,
-            WarpConfig(n=128),
             primary_coeff=2,
         )
         for i in range(5):
@@ -39,7 +36,6 @@ class TestWarpSensitivity:
             [0.0],
             np.linspace(-0.15, 0.15, 3),
             probe,
-            WarpConfig(n=128),
             nuisance_coeff=5,
         )
         assert result.offsets.shape == (1, 3, 2)
@@ -47,18 +43,14 @@ class TestWarpSensitivity:
 
     def test_primary_must_belong_to_warp(self, probe):
         with pytest.raises(ValueError):
-            warp_sensitivity(WarpKind.SHEAR, [0.0], [0.0], probe,
-                             WarpConfig(n=128), primary_coeff=2)
+            warp_sensitivity(WarpKind.SHEAR, [0.0], [0.0], probe, primary_coeff=2)
 
     def test_nuisance_must_be_outside_warp(self, probe):
         with pytest.raises(ValueError):
-            warp_sensitivity(WarpKind.SCALE_ROTATION, [0.0], [0.0], probe,
-                             WarpConfig(n=128), nuisance_coeff=3)
+            warp_sensitivity(WarpKind.SCALE_ROTATION, [0.0], [0.0], probe, nuisance_coeff=3)
 
     def test_csv_layout(self, probe, tmp_path):
-        result = warp_sensitivity(
-            WarpKind.SHEAR, [-0.1, 0.1], [0.0, 0.05], probe, WarpConfig(n=128)
-        )
+        result = warp_sensitivity(WarpKind.SHEAR, [-0.1, 0.1], [0.0, 0.05], probe)
         path = tmp_path / "sens.csv"
         write_sensitivity_csv(result, path)
         text = path.read_text()

@@ -36,17 +36,13 @@ def single_kind_b(kind, rng):
 class TestWarpConfig:
     def test_defaults(self):
         cfg = WarpConfig(n=128)
-        assert cfg.phi1 == 32.0 and cfg.phi2 == 32.0
+        assert cfg.phi == 32.0
         assert cfg.log_base == 64.0
 
     @pytest.mark.parametrize("n", [31, 30, 33, 0])
     def test_bad_size_rejected(self, n):
         with pytest.raises(ValueError):
             WarpConfig(n=n)
-
-    def test_bad_phi_rejected(self):
-        with pytest.raises(ValueError):
-            WarpConfig(n=64, phi1=0.0)
 
     @pytest.mark.parametrize("width, n", [(256, 256), (255, 254), (33, 32)])
     def test_for_width_is_largest_even_fit(self, width, n):
@@ -77,8 +73,8 @@ class TestSampleCoords:
     def test_perspective_sign_convention_at_zero(self):
         cfg = WarpConfig(n=64)
         out = sample_coords(WarpKind.PERSPECTIVE_1, cfg, np.array([0.0, 0.0]))
-        # sign(0) = +1 keeps the denominator at phi1
-        assert out[0] == pytest.approx(cfg.phi2 * 64 / (2 * cfg.phi1))
+        # sign(0) = +1 keeps the denominator at phi
+        assert out[0] == pytest.approx(cfg.phi * 64 / (2 * cfg.phi))
         assert np.all(np.isfinite(out))
 
     def test_perspective_axis_swap(self):
@@ -122,14 +118,14 @@ class TestRecovery:
         [
             # shear: (n * b[5] / 2, 0)
             (WarpKind.SHEAR, 5, 0.1, (6.4, 0.0)),
-            # perspective x: (n * phi2 * b[6] / 2, 0), with phi2 = 40 (not phi1)
-            (WarpKind.PERSPECTIVE_1, 6, 1e-4, (0.256, 0.0)),
-            # perspective y: (0, n * phi2 * b[7] / 2)
-            (WarpKind.PERSPECTIVE_2, 7, -1e-4, (0.0, -0.256)),
+            # perspective x: (n * phi * b[6] / 2, 0), with phi = n/4 = 32
+            (WarpKind.PERSPECTIVE_1, 6, 1e-4, (0.2048, 0.0)),
+            # perspective y: (0, n * phi * b[7] / 2)
+            (WarpKind.PERSPECTIVE_2, 7, -1e-4, (0.0, -0.2048)),
         ],
     )
     def test_one_parameter_closed_forms(self, kind, index, value, shift):
-        cfg = WarpConfig(n=128, phi1=20.0, phi2=40.0)
+        cfg = WarpConfig(n=128)
         b = np.zeros(8)
         b[index] = value
         np.testing.assert_allclose(predicted_shift(kind, cfg, b), shift, rtol=1e-12, atol=0)
