@@ -2,7 +2,7 @@
 
 Composes and decomposes 3x3 homographies from subgroup coefficients,
 resamples images through the five subgroup warp maps, and estimates full
-homographies between image pairs with a phase-correlation cascade.
+homographies between image pairs by phase correlation and refinement.
 """
 
 __version__ = "0.1.0"

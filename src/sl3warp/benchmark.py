@@ -85,7 +85,7 @@ def run_benchmark(dataset_dir, stages=None) -> BenchmarkReport:
     """Estimate every pair in ``dataset_dir`` and aggregate the metrics.
 
     The estimator's warp is the largest even one that fits the dataset's
-    crop, and ``stages`` selects a cascade subset.  Corner errors are
+    crop, and ``stages`` selects the free factors.  Corner errors are
     measured at the four corners of the template crop in center-origin
     coordinates; the precision curve runs over ``DEFAULT_THRESHOLDS`` and is
     also the success curve (see :mod:`sl3warp.metrics`).

@@ -1,17 +1,14 @@
-"""Six-stage homography estimation by warp-and-correlate.
+"""Homography estimation: two correlation captures, then refinement.
 
-A template/search pair is reduced one subgroup at a time, in the fixed
-factor order: plain translation first, then scale+rotation, aspect, shear,
-and the two perspective directions.  Before each stage the search image is
-re-rectified from the original through the inverse of everything estimated
-so far, so the remaining transform always leads with the current stage's
-factor.  Each warp turns its subgroup action into a pseudo-translation,
-which phase correlation measures and ``recover_coeffs`` converts back into
-algebra coefficients.
-
-One pass of the cascade cannot take up the coupling between subgroups, so
-its estimate is then refined directly in the coefficients of the enabled
-stages by photometric Levenberg-Marquardt (:mod:`sl3warp.refine`).
+The paper factors a homography into six commutative subgroups, plain
+translation first, then scale+rotation, aspect, shear and the two
+perspective directions, and turns each one into a pseudo-translation with
+its own warp (:func:`estimate_stage`).  ``estimate`` captures only the
+first two by correlation: the translation peak, then, with the search
+image rectified through that estimate, the log-polar scale-rotation peak.
+The photometric Levenberg-Marquardt of :mod:`sl3warp.refine` then solves
+every enabled coefficient from there, which the later warps' one-pass
+estimates were measured not to improve on.
 
 Estimation is deterministic and pure: the same inputs and config produce
 bit-identical results.
@@ -20,7 +17,7 @@ bit-identical results.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,17 +59,20 @@ _ASPECT_CONTENT_MARGIN = 16
 # answer is trusted; the direct route is the better prior whenever the
 # content is anywhere near the window.
 _CAPTURE_CONFIDENCE_MARGIN = 2.0
+# The stages ``estimate`` runs as correlation captures before refining.
+_CAPTURE_STAGES = (Stage.TRANSLATION, Stage.SCALE_ROTATION)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Cascade settings: warp geometry and enabled stages.
+    """Estimator settings: warp geometry and enabled stages.
 
-    ``stages`` must be a subset of the canonical order, in that order;
-    stages left out keep their coefficients at zero.
+    ``stages``, the free factors, must be a subset of the canonical order,
+    in that order; stages left out keep their coefficients at zero.  With
+    no ``warp``, each warp is the largest even one that fits the template.
     """
 
-    warp: WarpConfig = field(default_factory=WarpConfig)
+    warp: WarpConfig | None = None
     stages: tuple[Stage, ...] = CASCADE_ORDER
 
     def __post_init__(self):
@@ -192,10 +192,11 @@ def estimate_stage(
         update[0], update[1] = mu[0], mu[1]
     else:
         kind = WarpKind(stage.value)
-        wt = warp_image(template, kind, config.warp)
-        ws = warp_image(search, kind, config.warp)
+        warp = config.warp or WarpConfig.for_width(template.width)
+        wt = warp_image(template, kind, warp)
+        ws = warp_image(search, kind, warp)
         if kind is WarpKind.ASPECT_RATIO:
-            span = config.warp.n // 2 + _ASPECT_CONTENT_MARGIN
+            span = warp.n // 2 + _ASPECT_CONTENT_MARGIN
             wt = ImageGrid(wt.pixels[:span, :span, :])
             ws = ImageGrid(ws.pixels[:span, :span, :])
         mu, conf = phase_correlate(
@@ -204,7 +205,7 @@ def estimate_stage(
             circular_vertical=kind is WarpKind.SCALE_ROTATION,
             band_limit=_WARP_BAND_LIMIT,
         )
-        update = recover_coeffs(kind, config.warp, mu)
+        update = recover_coeffs(kind, warp, mu)
     return update, StagePeak(stage=stage, mu=(float(mu[0]), float(mu[1])), confidence=conf)
 
 
@@ -213,22 +214,20 @@ def estimate(
     search: ImageGrid,
     config: EstimatorConfig | None = None,
 ) -> EstimationResult:
-    """Run the enabled stages in order, rectifying the search between stages,
-    then refine the coefficients of those stages directly.
+    """Capture the enabled translation and scale-rotation stages in order,
+    rectifying the search between them, then refine the coefficients of
+    every enabled stage directly.
 
-    Returns the refined coefficients, the composed homography, the
-    per-stage peak diagnostics, and the minimum stage confidence.  With no
-    ``config``, every stage runs on the largest even warp that fits the
-    template.
+    Returns the refined coefficients, the composed homography, the peak
+    diagnostics of the captures that ran, and their minimum confidence.
     """
-    if config is None:
-        config = EstimatorConfig(warp=WarpConfig.for_width(template.width))
+    config = config or EstimatorConfig()
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
 
     b_hat = np.zeros(8)
     peaks: list[StagePeak] = []
-    for stage in config.stages:
+    for stage in (s for s in config.stages if s in _CAPTURE_STAGES):
         rectified = rectify(search, b_hat)
         update, peak = estimate_stage(template, rectified, stage, config)
         b_hat = b_hat + update

@@ -24,6 +24,7 @@ from .synth import PRESETS, generate_dataset, texture
 from .warps import COEFF_INDICES, WarpConfig, WarpKind, warp_image
 
 __all__ = ["cli", "main"]
+_STAGES_HELP = "free factors (default: all); translation and scale-rot are also captured by correlation"
 
 
 class _UsageError(Exception):
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--template", required=True)
     p.add_argument("--search", required=True)
     p.add_argument("--stages", nargs="*", default=None,
-                   choices=[s.value for s in CASCADE_ORDER])
+                   choices=[s.value for s in CASCADE_ORDER], help=_STAGES_HELP)
     p.add_argument("--out", default=None, help="write the result JSON here")
 
     p = sub.add_parser("gen-dataset", help="synthesize a ground-truth dataset")
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("benchmark", help="run the estimator over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--stages", nargs="*", default=None,
-                   choices=[s.value for s in CASCADE_ORDER])
+                   choices=[s.value for s in CASCADE_ORDER], help=_STAGES_HELP)
     p.add_argument("--report", required=True)
     p.add_argument("--curves-csv", default=None)
 
@@ -125,8 +126,7 @@ def _cmd_warp(args) -> int:
 def _cmd_estimate(args) -> int:
     template = load_image(args.template)
     search = load_image(args.search)
-    config = EstimatorConfig(warp=WarpConfig.for_width(template.width),
-                             stages=_stages_from_names(args.stages))
+    config = EstimatorConfig(stages=_stages_from_names(args.stages))
     result = estimate(template, search, config)
     payload = json.dumps(result.to_dict(), indent=1)
     if args.out:

@@ -1,8 +1,8 @@
 """Direct photometric refinement of a homography in its sl(3) coefficients.
 
-The cascade measures one subgroup at a time and cannot take up the
-coupling between them.  This stage polishes its estimate by minimizing the
-photometric residual
+Correlation captures at most translation and scale-rotation, one at a
+time.  This stage solves every enabled coefficient, coupling included, from
+that estimate by minimizing the photometric residual
 
     r(x) = search(H(b) x) - template(x)
 

@@ -150,7 +150,7 @@ def perspective_y_matrix(v2: float) -> np.ndarray:
 
 # Coefficient positions of each of the six factors, in product order:
 # translation, rotation+scale, aspect, shear, then the two perspective
-# directions.  The estimation cascade runs its stages in the same order.
+# directions.  The estimation stages follow the same order.
 FACTOR_COEFFS = ((0, 1), (2, 3), (4,), (5,), (6,), (7,))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sl3warp import cascade
 from sl3warp.cascade import (
     CASCADE_ORDER,
     EstimatorConfig,
@@ -13,7 +14,7 @@ from sl3warp.cascade import (
 )
 from sl3warp.raster import warp_by_homography
 from sl3warp.sl3 import compose_homography, projective_distance
-from sl3warp.warps import WarpConfig
+from sl3warp.warps import WarpConfig, WarpKind
 
 from conftest import smooth_image
 
@@ -193,6 +194,37 @@ class TestEstimate:
         np.testing.assert_array_equal(
             estimate(img, search).b_hat, estimate(img, search, make_config(n=128)).b_hat
         )
+        # a config that names stages but no warp sizes it the same way
+        stages = (Stage.TRANSLATION, Stage.SCALE_ROTATION)
+        np.testing.assert_array_equal(
+            estimate(img, search, EstimatorConfig(stages=stages)).b_hat,
+            estimate(img, search, EstimatorConfig(warp=WarpConfig(n=128), stages=stages)).b_hat,
+        )
+
+    def test_default_path_warps_only_for_scale_rotation(self, monkeypatch):
+        b = np.zeros(8)
+        b[0], b[1], b[2], b[3], b[5], b[6] = 5.0, -3.0, 0.1, 0.05, 0.04, 2e-4
+        img, search = synthetic_pair(b, seed=15)
+        kinds = []
+        warp_image = cascade.warp_image
+
+        def recording_warp_image(image, kind, config):
+            kinds.append(kind)
+            return warp_image(image, kind, config)
+
+        monkeypatch.setattr(cascade, "warp_image", recording_warp_image)
+        result = estimate(img, search)
+        assert kinds == [WarpKind.SCALE_ROTATION] * 2
+        assert [p.stage for p in result.stage_peaks] == [Stage.TRANSLATION, Stage.SCALE_ROTATION]
+
+    def test_non_capture_stage_is_refined_from_the_captures(self):
+        b = np.zeros(8)
+        b[0], b[1], b[5] = 5.0, -3.0, 0.08
+        img, search = synthetic_pair(b, seed=16)
+        result = estimate(img, search, EstimatorConfig(stages=(Stage.TRANSLATION, Stage.SHEAR)))
+        assert abs(result.b_hat[5] - 0.08) < 1e-3
+        np.testing.assert_array_equal(result.b_hat[[2, 3, 4, 6, 7]], np.zeros(5))
+        assert [p.stage for p in result.stage_peaks] == [Stage.TRANSLATION]
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
