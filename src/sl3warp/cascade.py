@@ -6,9 +6,11 @@ perspective directions, and turns each one into a pseudo-translation with
 its own warp (:func:`estimate_stage`).  ``estimate`` captures only the
 first two by correlation: the translation peak, then, with the search
 image rectified through that estimate, the log-polar scale-rotation peak.
-The photometric Levenberg-Marquardt of :mod:`sl3warp.refine` then solves
-every enabled coefficient from there, which the later warps' one-pass
-estimates were measured not to improve on.
+The captures only propose.  The photometric Levenberg-Marquardt of
+:mod:`sl3warp.refine` solves every enabled coefficient from three starts,
+the capture estimate, the plain windowed translation peak and the
+identity, and keeps the one its cost prefers; the later warps' one-pass
+estimates were measured not to improve on it.
 
 Estimation is deterministic and pure: the same inputs and config produce
 bit-identical results.
@@ -55,10 +57,6 @@ _WARP_BAND_LIMIT = 0.02
 # half is the frame-boundary edge plus zeros, whose non-moving votes drag
 # the peak, so correlation runs on the content quadrant plus a margin.
 _ASPECT_CONTENT_MARGIN = 16
-# The capture route must beat the direct route by this factor before its
-# answer is trusted; the direct route is the better prior whenever the
-# content is anywhere near the window.
-_CAPTURE_CONFIDENCE_MARGIN = 2.0
 # The stages ``estimate`` runs as correlation captures before refining.
 _CAPTURE_STAGES = (Stage.TRANSLATION, Stage.SCALE_ROTATION)
 
@@ -110,50 +108,6 @@ class EstimationResult:
         }
 
 
-def _correlate_translation(template: ImageGrid, search: ImageGrid) -> tuple[np.ndarray, float]:
-    """Translation peak from the better of two correlation routes.
-
-    The direct route applies the center-weighted, band-limited correlator
-    straight away: it tolerates the geometric mismatch of the later
-    subgroups but only captures shifts the narrow window still overlaps.
-    The capture route first takes the plain windowed peak (exact for large
-    clean shifts, meaningless under heavy distortion), re-centers by its
-    integer part, and refits.  When the routes disagree, the capture
-    refit must beat the direct refit by a fixed confidence factor to be
-    chosen, keeping the result deterministic and biased toward the route
-    that works under distortion.
-    """
-
-    def fine(img: ImageGrid) -> tuple[np.ndarray, float]:
-        return phase_correlate(
-            template,
-            img,
-            window_power=_TRANSLATION_WINDOW_POWER,
-            band_limit=_TRANSLATION_BAND_LIMIT,
-        )
-
-    direct, direct_conf = fine(search)
-
-    def recentered_fit(t0: np.ndarray) -> tuple[np.ndarray, float]:
-        if not t0.any():
-            return direct, direct_conf  # nothing to re-center: the direct fit
-        b0 = np.zeros(8)
-        b0[0], b0[1] = t0
-        mu, conf = fine(rectify(search, b0))
-        return t0 + mu, conf
-
-    coarse, _ = phase_correlate(template, search, subpixel=False)
-    if np.array_equal(np.rint(coarse), np.rint(direct)):
-        return direct, direct_conf
-    # the routes disagree: refit each from its own re-centering and keep
-    # the coarse capture only when it is decisively stronger
-    via_direct, conf_direct = recentered_fit(np.rint(direct))
-    via_coarse, conf_coarse = recentered_fit(np.rint(coarse))
-    if conf_coarse > _CAPTURE_CONFIDENCE_MARGIN * conf_direct:
-        return via_coarse, conf_coarse
-    return via_direct, conf_direct
-
-
 def _free_coefficients(stages) -> tuple[int, ...]:
     """Coefficient positions the given stages estimate."""
     return tuple(i for stage in stages for i in FACTOR_COEFFS[CASCADE_ORDER.index(stage)])
@@ -187,7 +141,12 @@ def estimate_stage(
     formula.  ``search`` must already be rectified by all previous stages.
     """
     if stage is Stage.TRANSLATION:
-        mu, conf = _correlate_translation(template, search)
+        mu, conf = phase_correlate(
+            template,
+            search,
+            window_power=_TRANSLATION_WINDOW_POWER,
+            band_limit=_TRANSLATION_BAND_LIMIT,
+        )
         update = np.zeros(8)
         update[0], update[1] = mu[0], mu[1]
     else:
@@ -218,6 +177,10 @@ def estimate(
     rectifying the search between them, then refine the coefficients of
     every enabled stage directly.
 
+    The refinement starts from the capture estimate, from the plain
+    windowed translation peak (when translation is enabled) and from the
+    identity; the coarse levels keep the start with the lowest cost.
+
     Returns the refined coefficients, the composed homography, the peak
     diagnostics of the captures that ran, and their minimum confidence.
     """
@@ -233,7 +196,11 @@ def estimate(
         b_hat = b_hat + update
         peaks.append(peak)
     if config.stages:
-        b_hat = refine(template, search, b_hat, _free_coefficients(config.stages))
+        starts = [b_hat]
+        if Stage.TRANSLATION in config.stages:
+            shift, _ = phase_correlate(template, search, subpixel=False)
+            starts.append(np.concatenate([shift, np.zeros(6)]))
+        b_hat = refine(template, search, starts, _free_coefficients(config.stages))
 
     b_hat.setflags(write=False)
     h_hat = compose_homography(b_hat)

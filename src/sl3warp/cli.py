@@ -95,10 +95,10 @@ def _build_parser() -> _Parser:
 def _stages_from_names(names) -> tuple[Stage, ...]:
     if names is None:
         return CASCADE_ORDER
-    chosen = [s for s in CASCADE_ORDER if s.value in names]
-    if len(chosen) != len(names):
-        raise _UsageError(f"unknown stage in {names}")
-    return tuple(chosen)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise _UsageError(f"repeated stage {', '.join(repeated)} in {names}")
+    return tuple(s for s in CASCADE_ORDER if s.value in names)
 
 
 def _cmd_compose(args) -> int:

@@ -18,12 +18,14 @@ coefficient outside ``free`` untouched.
 Pixels that are exactly zero in either image (masked-out regions) and
 pixels whose sample falls off the search image are skipped; both masks are
 eroded by one pixel so that no gradient reads a skipped neighbor.  The
-coarse levels run from two starts, the given estimate and the identity,
-and keep the one with the lower cost.  A step that is singular, non-finite
-or brings the horizon into the template is rejected, and if the finest
-level ends no lower than the given estimate, that estimate comes back
-unchanged.  The stage never raises on images of matching shape and is
-deterministic.
+coarse levels run from every given start plus the identity (in
+``estimate``: the capture estimate, the plain windowed translation peak,
+the identity) and keep the one with the lowest cost, so the photometric
+cost alone arbitrates between the correlation routes.  A step that is
+singular, non-finite or brings the horizon into the template is rejected,
+and if the finest level ends no lower than the first start, that start
+comes back unchanged.  The stage never raises on images of matching shape
+and is deterministic.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ __all__ = ["refine", "residual_jacobian"]
 # Pyramid: 2x2 box reductions while both sides stay at least _MIN_SIDE
 # (an 8-pixel level has too few pixels for eight coefficients and
 # sends the identity start astray).  The finest level refined is the first
-# whose larger side is at most _FINEST_SIDE, and the _DUAL_START_LEVELS
-# coarsest levels run from both starts.
+# whose larger side is at most _FINEST_SIDE, and the _START_LEVELS
+# coarsest levels run from every start.
 _MIN_SIDE = 16
 _FINEST_SIDE = 128
-_DUAL_START_LEVELS = 2
+_START_LEVELS = 2
 # Levenberg-Marquardt schedule, per level.
 _MAX_ITERATIONS = 12
 _LAMBDA_START = 1e-3
@@ -83,39 +85,47 @@ class _Evaluation:
     valid: np.ndarray
 
 
-def refine(template: ImageGrid, search: ImageGrid, b_init, free) -> np.ndarray:
-    """Refine ``b_init`` so that ``search(H(b) x)`` matches ``template(x)``.
+def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
+    """The best refinement of ``starts`` so that ``search(H(b) x)`` matches
+    ``template(x)``.
 
-    Only the coefficient positions in ``free`` change.  Returns a new
-    8-vector, or a copy of ``b_init`` when refinement cannot lower the
-    photometric cost.  Raises ``ValueError`` only for images of different
-    shapes.
+    ``starts`` is one 8-vector or a stack of them; the coarse levels run
+    from each, then from the identity, and the finer levels continue the
+    one with the lowest cost.  Only the coefficient positions in ``free``
+    change: the other entries of every start are taken from the first.
+    Returns a new 8-vector, or a copy of the first start when refinement
+    cannot lower its photometric cost.  Raises ``ValueError`` only for
+    images of different shapes.
     """
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
-    b_init = np.array(b_init, dtype=float)
+    rows = np.atleast_2d(np.array(starts, dtype=float))
+    first = rows[0]
     free = np.array(sorted(set(free)), dtype=int)
     if free.size == 0:
-        return b_init
+        return first
     levels = _pyramid(template, search)
-    dual, single = levels[:_DUAL_START_LEVELS], levels[_DUAL_START_LEVELS:]
-    identity = b_init.copy()
-    identity[free] = 0.0
+    coarse, fine = levels[:_START_LEVELS], levels[_START_LEVELS:]
 
-    starts = (b_init,) if np.array_equal(identity, b_init) else (b_init, identity)
-    best_b, best = b_init, None
-    for start in starts:
+    candidates: list[np.ndarray] = []
+    for row in (*rows, np.zeros(8)):
+        start = first.copy()
+        start[free] = row[free]
+        if not any(np.array_equal(start, c) for c in candidates):
+            candidates.append(start)
+    best_b, best = first, None
+    for start in candidates:
         b, ev = start, None
-        for level in dual:
+        for level in coarse:
             b, ev = _solve_level(level, b, free)
         if ev is not None and (best is None or ev.cost < best.cost):
             best_b, best = b, ev
     b, ev = best_b, best
-    for level in single:
+    for level in fine:
         b, ev = _solve_level(level, b, free)
-    baseline = _evaluate(levels[-1], b_init)
+    baseline = _evaluate(levels[-1], first)
     if ev is None or (baseline is not None and ev.cost >= baseline.cost):
-        return b_init
+        return first
     return b
 
 

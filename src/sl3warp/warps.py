@@ -71,8 +71,9 @@ class WarpConfig:
 
     @classmethod
     def for_width(cls, width: int) -> "WarpConfig":
-        """The largest even warp that fits an image ``width`` pixels wide."""
-        return cls(n=width - width % 2)
+        """The largest even warp that fits an image ``width`` pixels wide,
+        or the smallest warp for images narrower than it."""
+        return cls(n=max(width - width % 2, 32))
 
     @property
     def log_base(self) -> float:

@@ -12,8 +12,10 @@ from sl3warp.cascade import (
     estimate_stage,
     rectify,
 )
+from sl3warp.metrics import alignment_error, template_corners
 from sl3warp.raster import warp_by_homography
 from sl3warp.sl3 import compose_homography, projective_distance
+from sl3warp.synth import make_pair
 from sl3warp.warps import WarpConfig, WarpKind
 
 from conftest import smooth_image
@@ -200,6 +202,14 @@ class TestEstimate:
             estimate(img, search, EstimatorConfig(stages=stages)).b_hat,
             estimate(img, search, EstimatorConfig(warp=WarpConfig(n=128), stages=stages)).b_hat,
         )
+
+    def test_narrow_pair_gets_the_smallest_warp(self):
+        # images narrower than the smallest warp still size one from the template
+        pair = make_pair(smooth_image(96, seed=31), [1.5, -1.0, 0.1, 0.05, 0.02, 0, 0, 0], 24)
+        result = estimate(pair.template, pair.search)
+        expected = estimate(pair.template, pair.search, make_config(n=32))
+        np.testing.assert_array_equal(result.b_hat, expected.b_hat)
+        assert alignment_error(result.h_hat, pair.h_true, template_corners(24, 24)) < 0.5
 
     def test_default_path_warps_only_for_scale_rotation(self, monkeypatch):
         b = np.zeros(8)

@@ -118,6 +118,15 @@ class TestEstimateCommand:
         result = json.loads(capsys.readouterr().out)
         assert [s["kind"] for s in result["stages"]] == ["translation", "scale-rot"]
 
+    def test_repeated_stage_is_named(self, tmp_path, capsys):
+        a = tmp_path / "a.pgm"
+        save_image(texture(64, seed=4), a)
+        code = cli(["estimate", "--template", str(a), "--search", str(a),
+                    "--stages", "translation", "translation"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "repeated stage translation" in err
+        assert "unknown" not in err
 
     def test_odd_width_pair_uses_largest_even_warp(self, tmp_path, capsys):
         pair = make_pair(texture(831, seed=5), sample_coeffs(PRESETS["middle"], (5, 0)), 255)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sl3warp.cascade import EstimatorConfig, estimate
+from sl3warp.cascade import EstimatorConfig, Stage, estimate, estimate_stage
 from sl3warp.metrics import alignment_error, template_corners
 from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp import refine as refine_module
@@ -141,11 +141,28 @@ class TestRefine:
         np.testing.assert_array_equal(refine(img, img, b_init, range(8)), b_init)
 
     def test_constant_pair_takes_no_step(self):
-        # no gradient: only the two starts are compared, and the identity
-        # reproduces the image exactly
+        # no gradient: only the given start and the identity are compared,
+        # and the identity reproduces the image exactly
         img = ImageGrid(np.full((64, 64), 0.5))
         b_init = np.array([1.0, -2.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(refine(img, img, b_init, range(8)), np.zeros(8))
+
+    def test_cost_picks_among_stacked_starts(self):
+        # the translation capture misses a quarter-image shift that the
+        # plain integer peak finds; refinement keeps whichever fits
+        b_true = np.array([64.0, -64.0, 0, 0, 0, 0, 0, 0])
+        img = smooth_image(256, seed=10)
+        search = warp_by_homography(img, compose_homography(b_true))
+        capture, _ = estimate_stage(img, search, Stage.TRANSLATION, EstimatorConfig())
+        assert np.abs(capture[:2] - b_true[:2]).max() > 30.0
+        np.testing.assert_array_equal(refine(img, search, capture, range(8)), capture)
+        b = refine(img, search, [capture, b_true], range(8))
+        np.testing.assert_allclose(b, b_true, atol=1e-6)
+        # entries outside ``free`` come from the first start, not the others
+        junk = b_true + np.array([0, 0, 0.1, 0.1, 0, 0, 1e-4, 0])
+        b = refine(img, search, np.stack([capture, junk]), (0, 1))
+        np.testing.assert_allclose(b[:2], b_true[:2], atol=1e-6)
+        np.testing.assert_array_equal(b[2:], capture[2:])
 
     def test_start_beyond_horizon_does_not_raise(self):
         img = smooth_image(64, seed=23)

@@ -48,9 +48,9 @@ class TestWarpConfig:
     def test_for_width_is_largest_even_fit(self, width, n):
         assert WarpConfig.for_width(width) == WarpConfig(n=n)
 
-    def test_for_width_too_narrow_rejected(self):
-        with pytest.raises(ValueError):
-            WarpConfig.for_width(31)
+    @pytest.mark.parametrize("width", [31, 24])
+    def test_for_width_too_narrow_gets_smallest_warp(self, width):
+        assert WarpConfig.for_width(width) == WarpConfig(n=32)
 
 
 class TestSampleCoords:
