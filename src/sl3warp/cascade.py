@@ -91,6 +91,13 @@ class StagePeak:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """``b_hat`` and ``h_hat == compose_homography(b_hat)`` are the refined
+    estimate.  ``stage_peaks`` (one per correlation capture that ran) and
+    ``confidence`` (their minimum, 0.0 when none ran) describe the captures,
+    not the refinement start that won: when refinement keeps the plain
+    translation peak or the identity, ``b_hat`` can disagree with them.
+    """
+
     b_hat: np.ndarray
     h_hat: np.ndarray
     stage_peaks: tuple[StagePeak, ...]
@@ -182,7 +189,8 @@ def estimate(
     identity; the coarse levels keep the start with the lowest cost.
 
     Returns the refined coefficients, the composed homography, the peak
-    diagnostics of the captures that ran, and their minimum confidence.
+    diagnostics of the captures that ran, and their minimum confidence;
+    the diagnostics describe the captures, not the start refinement kept.
     """
     config = config or EstimatorConfig()
     if template.pixels.shape != search.pixels.shape:

@@ -5,9 +5,15 @@ FFT of the phase-only cross spectrum.  A Hann window suppresses wrap-around
 from non-periodic content; axes that are genuinely periodic (the angular
 axis of a log-polar warp) are left unwindowed.  The integer peak can be
 refined per axis by a three-point parabolic fit.
+
+Pixels are real, so the spectra are the half spectra of ``rfft2``.  The
+window and the band-limit mask depend only on the raster shape and the
+setting; each is built once per pair of them and kept read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -50,10 +56,12 @@ def phase_correlate(
     h, w = a.height, a.width
     win = _window2d(h, w, window_power, circular_vertical)
 
-    spectrum = np.zeros((h, w), dtype=complex)
+    # real input: the other half of the spectrum mirrors this one, and the
+    # explicit (h, w) lets irfft2 restore an odd width
+    spectrum = np.zeros((h, w // 2 + 1), dtype=complex)
     for ch in range(a.channels):
-        fa = np.fft.fft2(a.pixels[:, :, ch] * win)
-        fb = np.fft.fft2(b.pixels[:, :, ch] * win)
+        fa = np.fft.rfft2(a.pixels[:, :, ch] * win)
+        fb = np.fft.rfft2(b.pixels[:, :, ch] * win)
         cross = np.conj(fa) * fb
         mag = np.abs(cross)
         floor = mag.max() * 1e-15
@@ -62,7 +70,7 @@ def phase_correlate(
         np.divide(cross, mag, out=cross, where=mag > floor)
         cross[mag <= floor] = 0.0
         spectrum += cross
-    surface = np.fft.ifft2(spectrum).real / max(a.channels, 1)
+    surface = np.fft.irfft2(spectrum, s=(h, w)) / max(a.channels, 1)
 
     total = np.abs(surface).sum()
     if total == 0.0:
@@ -71,11 +79,7 @@ def phase_correlate(
     if band_limit is None:
         iy, ix = np.unravel_index(int(np.argmax(surface)), surface.shape)
     else:
-        fy = np.fft.fftfreq(h)[:, None]
-        fx = np.fft.fftfreq(w)[None, :]
-        smooth = np.fft.ifft2(
-            spectrum * np.exp(-(fx**2 + fy**2) / (2.0 * band_limit**2))
-        ).real
+        smooth = np.fft.irfft2(spectrum * _band_mask(h, w, band_limit), s=(h, w))
         cy, cx = np.unravel_index(int(np.argmax(smooth)), smooth.shape)
         iy, ix = _guided_argmax(surface, cy, cx, _REFINE_RADIUS)
 
@@ -105,10 +109,30 @@ def _guided_argmax(surface: np.ndarray, cy: int, cx: int, radius: int) -> tuple[
     return int(rows[py]), int(cols[px])
 
 
+# The window and the band mask depend only on the shape and the setting, and
+# a caller correlates a handful of shapes, so both are computed once and kept
+# read-only; the bound only limits what an unusual caller can pile up.
+_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _window2d(h: int, w: int, power: float, circular_vertical: bool) -> np.ndarray:
     wx = np.hanning(w) ** power
     wy = np.ones(h) if circular_vertical else np.hanning(h) ** power
-    return np.outer(wy, wx)
+    return _read_only(np.outer(wy, wx))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _band_mask(h: int, w: int, sigma: float) -> np.ndarray:
+    """Gaussian low-pass over the ``rfft2`` half spectrum of an h x w plane."""
+    fy = np.fft.fftfreq(h)[:, None]
+    fx = np.fft.rfftfreq(w)[None, :]
+    return _read_only(np.exp(-(fx**2 + fy**2) / (2.0 * sigma**2)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _parabolic_offset(left: float, center: float, right: float) -> float:

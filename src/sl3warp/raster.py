@@ -93,15 +93,30 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     ``points`` is ``(..., 2)`` as (x, y); the result is ``(..., channels)``.
     Samples beyond ``[-w/2, w/2] x [-h/2, h/2]`` return exactly zero, and
     neighbors outside the pixel lattice contribute zero to the blend.
-
-    The image is padded with one pixel of zeros, so every in-box point
-    reads its four neighbors from one flat index without bounds checks.
     """
     p = np.asarray(points, dtype=float)
-    squeeze = p.ndim == 1
-    pts = np.atleast_2d(p).reshape(-1, 2)
-    h, w, c = image.pixels.shape
+    planes = _sample_padded(_pad_planes(image.pixels), p.reshape(-1, 2))
+    return np.ascontiguousarray(planes.T).reshape(p.shape[:-1] + (image.channels,))
 
+
+def _pad_planes(pixels: np.ndarray) -> np.ndarray:
+    """Channel planes of an ``(h, w, c)`` array with one pixel of zeros
+    around each, shape ``(c, h + 2, w + 2)``: every in-box point then reads
+    its four neighbors from one flat index without bounds checks."""
+    h, w, c = pixels.shape
+    planes = np.zeros((c, h + 2, w + 2))
+    planes[:, 1:-1, 1:-1] = np.moveaxis(pixels, 2, 0)
+    return planes
+
+
+def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The bilinear lookup of :func:`bilinear_sample` on padded planes.
+
+    ``pts`` is ``(n, 2)``; the result is ``(c, n)``, one row per channel.
+    Indices and weights are computed once; each channel is then gathered
+    from its own contiguous plane and accumulated in place.
+    """
+    c, h, w = planes.shape[0], planes.shape[1] - 2, planes.shape[2] - 2
     inside = (np.abs(pts[:, 0]) <= w / 2.0) & (np.abs(pts[:, 1]) <= h / 2.0)
     # out-of-box points read the center and are zeroed at the end
     col = np.where(inside, pts[:, 0], 0.0) + (w - 1) / 2.0
@@ -112,24 +127,22 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     fr = row - r0
 
     stride = w + 2
-    flat = np.pad(image.pixels, ((1, 1), (1, 1), (0, 0))).reshape(-1, c)
-    if c == 1:
-        flat = flat[:, 0]
     base = (r0.astype(np.int64) + 1) * stride + (c0.astype(np.int64) + 1)
-    out = np.zeros((pts.shape[0], c) if c > 1 else pts.shape[0])
-    for offset, wgt in (
+    terms = (
         (0, (1 - fr) * (1 - fc)),
         (1, (1 - fr) * fc),
         (stride, fr * (1 - fc)),
         (stride + 1, fr * fc),
-    ):
-        out += (wgt if c == 1 else wgt[:, None]) * flat[base + offset]
-    if c == 1:
-        out = out[:, None]
+    )
+    out = np.zeros((c, pts.shape[0]))
+    neighbor = np.empty(pts.shape[0])
+    for flat, acc in zip(planes.reshape(c, -1), out):
+        for offset, wgt in terms:
+            np.take(flat[offset:], base, out=neighbor)
+            neighbor *= wgt
+            acc += neighbor
     if not inside.all():
-        out[~inside] = 0.0
-
-    out = out.reshape(p.shape[:-1] + (c,)) if not squeeze else out[0]
+        out[:, ~inside] = 0.0
     return out
 
 

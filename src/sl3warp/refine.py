@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import ImageGrid, bilinear_sample
+from .raster import ImageGrid, _pad_planes, _sample_padded
 from .sl3 import FACTOR_COEFFS, compose_homography, factor_matrices, generators
 
 __all__ = ["refine", "residual_jacobian"]
@@ -64,14 +64,14 @@ _GENERATORS = np.stack(generators())
 
 @dataclass(frozen=True)
 class _Level:
-    """One pyramid level: the template side precomputed, the search as a
-    two-channel raster (intensity, validity) so one lookup warps both."""
+    """One pyramid level: the template side precomputed, the search as two
+    zero-padded planes (intensity, validity) so one lookup warps both."""
 
     template: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
     valid: np.ndarray
-    search: ImageGrid
+    search: np.ndarray  # (2, h + 2, w + 2), see raster._pad_planes
     points: np.ndarray  # (h*w, 3) homogeneous center-origin coordinates
     offset: np.ndarray  # (2,) ``points`` minus the level's own center-origin coordinates
     scale: np.ndarray   # level coefficients are ``scale * b``
@@ -195,7 +195,7 @@ def _level(template, template_valid, search, search_valid, offset, k: int) -> _L
         grad_x=grad_x,
         grad_y=grad_y,
         valid=_erode(template_valid),
-        search=ImageGrid(np.stack([search, search_valid.astype(float)], axis=-1)),
+        search=_pad_planes(np.stack([search, search_valid.astype(float)], axis=-1)),
         points=np.stack([xx.ravel(), yy.ravel(), np.ones(h * w)], axis=1),
         offset=offset,
         scale=np.array([1 / factor, 1 / factor, 1, 1, 1, 1, factor, factor]),
@@ -232,9 +232,8 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
     uv = q[:, :2] / q[:, 2:3] - level.offset
     if not np.all(np.isfinite(uv)):
         return None
-    sampled = bilinear_sample(level.search, uv).reshape(level.template.shape + (2,))
-    warped = sampled[:, :, 0]
-    valid = level.valid & _erode(sampled[:, :, 1] >= _MASK_FULL)
+    warped, coverage = _sample_padded(level.search, uv).reshape((2,) + level.template.shape)
+    valid = level.valid & _erode(coverage >= _MASK_FULL)
     count = int(np.count_nonzero(valid))
     if count < _MIN_VALID:
         return None
@@ -271,11 +270,8 @@ def _tangents(b: np.ndarray) -> np.ndarray:
     tails = [np.eye(3)]
     for factor in reversed(factors[1:]):
         tails.insert(0, factor @ tails[0])
-    return np.stack([
-        np.linalg.solve(tails[k], _GENERATORS[i] @ tails[k])
-        for k, coeffs in enumerate(FACTOR_COEFFS)
-        for i in coeffs
-    ])
+    stacked = np.stack([tails[k] for k, coeffs in enumerate(FACTOR_COEFFS) for _ in coeffs])
+    return np.linalg.solve(stacked, _GENERATORS @ stacked)
 
 
 def _solve_level(

@@ -12,7 +12,9 @@ subgroup becomes a plain translation of the warped raster:
 * perspective x/y -> reciprocal sampling along one axis, offset away from
   the pole by ``phi = n/4``, which also rescales the other axis.
 
-``sample_coords`` maps warped-grid coordinates to source coordinates.
+``sample_coords`` maps warped-grid coordinates to source coordinates;
+``warp_image`` samples the source at a grid that depends only on the warp,
+so it is computed once per ``(kind, config)`` and kept read-only.
 Each warp's pseudo-translation is linear in its own coefficients, and one
 ``(2, k)`` matrix per warp states that law: ``predicted_shift`` applies it
 and ``recover_coeffs`` is its least-squares inverse.  For an ``n``-sized
@@ -23,6 +25,7 @@ matches the image extent.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,11 +199,29 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
     multi-channel inputs are averaged to a single plane first so the
     channel count stays four.
     """
-    coords = sample_coords(kind, config, warp_grid_mu(kind, config))
+    coords = _sample_grid(kind, config)
     if kind is not WarpKind.ASPECT_RATIO:
         return ImageGrid(bilinear_sample(image, coords))
     plane = ImageGrid(image.pixels.mean(axis=2)) if image.channels > 1 else image
     # one gather per quadrant: a single gather of all four is bit-identical
-    # but twice as slow, its 4n^2-point temporaries no longer fit in cache
-    quadrants = [bilinear_sample(plane, coords * signs)[..., 0] for signs in _QUADRANT_SIGNS]
+    # but twice as slow (measured at n = 256), its 4n^2-point temporaries
+    # no longer fit in cache
+    quadrants = [bilinear_sample(plane, quadrant)[..., 0] for quadrant in coords]
     return ImageGrid(np.stack(quadrants, axis=-1))
+
+
+# A warp's sample grid depends on nothing but the warp, so it is computed
+# once per (kind, config) and kept read-only.  Callers use one or two warp
+# sizes; the bound only limits what an unusual caller can pile up.
+_GRID_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _sample_grid(kind: WarpKind, config: WarpConfig) -> np.ndarray:
+    """Source coordinates of every warped pixel, shape (n, n, 2); for the
+    aspect warp one such grid per reflected quadrant, shape (4, n, n, 2)."""
+    coords = sample_coords(kind, config, warp_grid_mu(kind, config))
+    if kind is WarpKind.ASPECT_RATIO:
+        coords = coords * _QUADRANT_SIGNS[:, None, None, :]
+    coords.setflags(write=False)
+    return coords

@@ -104,3 +104,57 @@ def bilinear_reference(pixels, x, y):
             if 0 <= rr < h and 0 <= cc < w and wr * wc != 0.0:
                 out += wr * wc * pixels[rr, cc]
     return out
+
+
+def phase_correlate_full_complex(a, b, window_power, circular_vertical, subpixel, band_limit):
+    """Phase correlation on full complex spectra, for ``(h, w, c)`` arrays.
+
+    Same definition as the package's correlator (Hann window to a power,
+    per-channel normalized cross spectrum with a relative floor, optional
+    Gaussian band limit locating a radius-2 neighborhood, three-point
+    parabolic refinement), but with ``fft2``/``ifft2`` over every
+    frequency and the neighborhood search and the fit in plain Python.
+    Returns ``((dx, dy), confidence)``.
+    """
+    h, w, c = a.shape
+    wx = np.hanning(w) ** window_power
+    wy = np.ones(h) if circular_vertical else np.hanning(h) ** window_power
+    win = wy[:, None] * wx[None, :]
+    spectrum = np.zeros((h, w), dtype=complex)
+    for ch in range(c):
+        cross = np.conj(np.fft.fft2(a[:, :, ch] * win)) * np.fft.fft2(b[:, :, ch] * win)
+        mag = np.abs(cross)
+        floor = mag.max() * 1e-15
+        if floor > 0.0:
+            keep = mag > floor
+            spectrum[keep] += cross[keep] / mag[keep]
+    surface = np.fft.ifft2(spectrum).real / c
+    total = np.abs(surface).sum()
+    if total == 0.0:
+        return (0.0, 0.0), 0.0
+    if band_limit is None:
+        iy, ix = divmod(int(np.argmax(surface)), w)
+    else:
+        fy, fx = np.meshgrid(np.fft.fftfreq(h), np.fft.fftfreq(w), indexing="ij")
+        smooth = np.fft.ifft2(spectrum * np.exp(-(fx**2 + fy**2) / (2.0 * band_limit**2))).real
+        cy, cx = divmod(int(np.argmax(smooth)), w)
+        best = None
+        for r in range(cy - 2, cy + 3):
+            for col in range(cx - 2, cx + 3):
+                value = surface[r % h, col % w]
+                if best is None or value > best[0]:
+                    best = (value, r % h, col % w)
+        _, iy, ix = best
+    peak = float(surface[iy, ix])
+
+    def fit(left, right):
+        denom = left - 2.0 * peak + right
+        off = 0.0 if denom == 0.0 else 0.5 * (left - right) / denom
+        return off if abs(off) < 1.0 else 0.0
+
+    dx = float(ix - w if ix > w // 2 else ix)
+    dy = float(iy - h if iy > h // 2 else iy)
+    if subpixel:
+        dx += fit(surface[iy, (ix - 1) % w], surface[iy, (ix + 1) % w])
+        dy += fit(surface[(iy - 1) % h, ix], surface[(iy + 1) % h, ix])
+    return (dx, dy), min(max(peak / total, 0.0), 1.0)

@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from sl3warp import correlate
 from sl3warp.correlate import phase_correlate
 from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp.sl3 import translation_matrix
 
 from conftest import smooth_image
-from oracles import brute_force_circular_peak
+from oracles import brute_force_circular_peak, phase_correlate_full_complex
 
 
 def rolled(img, dx, dy):
@@ -78,3 +81,37 @@ class TestPhaseCorrelate:
         img = smooth_image(64, seed=7)
         mu, _ = phase_correlate(img, rolled(img, -30, 0), window_power=0.0, subpixel=False)
         assert mu[0] == -30.0
+
+
+SETTINGS = list(itertools.product([0.0, 1.0, 2.0], [False, True], [None, 0.05], [False, True]))
+
+
+class TestAgainstFullComplexOracle:
+    @pytest.mark.parametrize("shape", [(31, 48), (33, 33), (64, 65)])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    def test_real_spectra_match_full_complex(self, shape, channels):
+        # odd widths are where a half spectrum's inverse needs its size stated
+        h, w = shape
+        src = smooth_image(96, seed=h + w + channels, channels=channels).pixels
+        a, b = src[5 : 5 + h, 9 : 9 + w], src[8 : 8 + h, 4 : 4 + w]
+        for power, circular, band, subpixel in SETTINGS:
+            mu, conf = phase_correlate(
+                ImageGrid(a), ImageGrid(b), window_power=power, circular_vertical=circular,
+                band_limit=band, subpixel=subpixel,
+            )
+            want, want_conf = phase_correlate_full_complex(a, b, power, circular, subpixel, band)
+            np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
+            assert abs(conf - want_conf) <= 1e-12
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("constant", [
+        lambda: correlate._window2d(31, 48, 2.0, False),
+        lambda: correlate._window2d(64, 64, 1.0, True),
+        lambda: correlate._band_mask(33, 65, 0.02),
+    ])
+    def test_read_only(self, constant):
+        array = constant()
+        assert constant() is array
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5

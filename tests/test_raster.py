@@ -76,7 +76,7 @@ class TestBilinearSample:
         want = np.stack([bilinear_reference(img.pixels, x, y) for x, y in pts])
         np.testing.assert_allclose(got, want, atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(15, 16, 1), (8, 5, 3)])
+    @pytest.mark.parametrize("shape", [(15, 16, 1), (8, 5, 3), (9, 12, 2), (7, 6, 4)])
     def test_equals_scalar_reference_bit_for_bit(self, shape):
         # same weights, same summation order: not one bit may differ, on the
         # border band, the box edges, lattice points or far outside

@@ -5,10 +5,16 @@ import pytest
 
 from sl3warp.cascade import EstimatorConfig, Stage, estimate, estimate_stage
 from sl3warp.metrics import alignment_error, template_corners
-from sl3warp.raster import ImageGrid, warp_by_homography
+from sl3warp.raster import ImageGrid, bilinear_sample, pixel_grid, warp_by_homography
 from sl3warp import refine as refine_module
 from sl3warp.refine import refine, residual_jacobian
-from sl3warp.sl3 import compose_homography, translation_matrix
+from sl3warp.sl3 import (
+    FACTOR_COEFFS,
+    compose_homography,
+    factor_matrices,
+    generators,
+    translation_matrix,
+)
 from sl3warp.synth import make_pair, mask_corners
 from sl3warp.warps import WarpConfig
 
@@ -74,6 +80,33 @@ class TestResidualJacobian:
         _, _, full = residual_jacobian(template, search, B_JACOBIAN, range(8))
         _, _, part = residual_jacobian(template, search, B_JACOBIAN, (5, 0))
         np.testing.assert_array_equal(part, full[:, [5, 0]])
+
+    def test_padded_search_lookup_is_bilinear_sample(self, pair):
+        # the level pads its search raster once; every lookup through it must
+        # still be the package's bilinear kernel, bit for bit
+        template, search = pair
+        r, valid, _ = residual_jacobian(template, search, B_JACOBIAN, range(8))
+        pts = pixel_grid(template).reshape(-1, 2)
+        q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
+        warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
+        np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
+
+    def test_tangents_equal_one_solve_per_coefficient(self):
+        # the batched solve over the stacked tails against the plain loop
+        rng = np.random.default_rng(9)
+        spread = np.array([30.0, 30.0, 0.8, 0.3, 0.3, 0.2, 1e-3, 1e-3])
+        gens = generators()
+        for b in (B_JACOBIAN, B_MIDDLE, *(rng.uniform(-1, 1, (50, 8)) * spread)):
+            factors = factor_matrices(b)
+            tails = [np.eye(3)]
+            for factor in reversed(factors[1:]):
+                tails.insert(0, factor @ tails[0])
+            want = np.stack([
+                np.linalg.solve(tails[k], gens[i] @ tails[k])
+                for k, coeffs in enumerate(FACTOR_COEFFS)
+                for i in coeffs
+            ])
+            np.testing.assert_array_equal(refine_module._tangents(b), want)
 
 
 class TestRefine:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl3warp import warps
 from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp.sl3 import compose_homography
 from sl3warp.warps import (
@@ -228,3 +229,22 @@ class TestWarpImage:
                 a = 2.0 * math.pi * row / n
                 want = bilinear_reference(img.pixels, r * math.cos(a), r * math.sin(a))
                 assert warped[row, col] == pytest.approx(want[0], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_cached_grid_is_the_warp_grid_and_read_only(self, kind):
+        cfg = WarpConfig(n=64)
+        grid = warps._sample_grid(kind, cfg)
+        assert warps._sample_grid(kind, cfg) is grid
+        want = sample_coords(kind, cfg, warp_grid_mu(kind, cfg))
+        if kind is WarpKind.ASPECT_RATIO:
+            want = np.stack([want * signs for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
+        np.testing.assert_array_equal(grid, want)
+        with pytest.raises(ValueError):
+            grid[..., 0] = 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_other_warp_size_leaves_output_unchanged(self, kind):
+        img = smooth_image(256, seed=6)
+        before = warp_image(img, kind, WarpConfig(n=128)).pixels.tobytes()
+        assert warp_image(img, kind, WarpConfig(n=256)).pixels.shape[:2] == (256, 256)
+        assert warp_image(img, kind, WarpConfig(n=128)).pixels.tobytes() == before
