@@ -80,9 +80,17 @@ class ImageGrid:
 
 def pixel_grid(image: ImageGrid) -> np.ndarray:
     """Center-origin (x, y) coordinates of every pixel, shape (h, w, 2)."""
-    h, w = image.height, image.width
-    x = np.arange(w) - (w - 1) / 2.0
-    y = np.arange(h) - (h - 1) / 2.0
+    return _centered_grid(image.width, image.height)
+
+
+def _centered_grid(width: int, height: int) -> np.ndarray:
+    """Center-origin (x, y) pixel coordinates of a ``width x height`` raster.
+
+    A centered crop of a larger raster of the same parity has exactly these
+    coordinates: the half-integers are exact in floating point.
+    """
+    x = np.arange(width) - (width - 1) / 2.0
+    y = np.arange(height) - (height - 1) / 2.0
     xx, yy = np.meshgrid(x, y)
     return np.stack([xx, yy], axis=-1)
 
@@ -152,31 +160,46 @@ def warp_by_homography(image: ImageGrid, h) -> ImageGrid:
     Content moves forward by ``H``; output size equals input size and
     pixels whose source falls outside the input are zero.
     """
+    return _warp_crop(image, h, image.width, image.height)
+
+
+def _warp_crop(image: ImageGrid, h, width: int, height: int) -> ImageGrid:
+    """The centered ``width x height`` crop of ``warp_by_homography(image, h)``.
+
+    Only the crop's own pixels are resampled, with the same arithmetic, so
+    the bytes equal cropping the full warp.  Raises :func:`center_crop`'s
+    ``ValueError`` for a crop that does not fit or would shift the center.
+    """
+    _crop_origin(image, width, height)
     h = _as_matrix(h)
     try:
         h_inv = np.linalg.inv(h)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("homography is not invertible") from exc
-    grid = pixel_grid(image).reshape(-1, 2)
+    grid = _centered_grid(width, height).reshape(-1, 2)
     ones = np.ones((grid.shape[0], 1))
     src = np.concatenate([grid, ones], axis=1) @ h_inv.T
     with np.errstate(divide="ignore", invalid="ignore"):
         src2 = src[:, :2] / src[:, 2:3]
     src2[~np.isfinite(src2)] = 1e12  # far outside: sampled as zero
     sampled = bilinear_sample(image, src2)
-    return ImageGrid(sampled.reshape(image.height, image.width, image.channels))
+    return ImageGrid(sampled.reshape(height, width, image.channels))
 
 
 def center_crop(image: ImageGrid, size: int | tuple[int, int]) -> ImageGrid:
     """Centered crop; offsets must be integral so the origin is preserved."""
     cw, ch = (size, size) if isinstance(size, int) else (int(size[0]), int(size[1]))
+    x0, y0 = _crop_origin(image, cw, ch)
+    return ImageGrid(image.pixels[y0 : y0 + ch, x0 : x0 + cw].copy())
+
+
+def _crop_origin(image: ImageGrid, cw: int, ch: int) -> tuple[int, int]:
+    """Column and row of the top-left pixel of the centered ``cw x ch`` crop."""
     if cw < 1 or ch < 1 or cw > image.width or ch > image.height:
         raise ValueError(f"crop {cw}x{ch} does not fit in {image.width}x{image.height}")
     if (image.width - cw) % 2 or (image.height - ch) % 2:
         raise ValueError("crop size must match the image parity to keep the center fixed")
-    x0 = (image.width - cw) // 2
-    y0 = (image.height - ch) // 2
-    return ImageGrid(image.pixels[y0 : y0 + ch, x0 : x0 + cw].copy())
+    return (image.width - cw) // 2, (image.height - ch) // 2
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -19,8 +19,17 @@ import numpy as np
 
 from . import __version__
 from .metrics import template_corners
-from .raster import ImageGrid, center_crop, load_image, save_image, warp_by_homography
-from .sl3 import apply_homography, coeffs_from_params, compose_homography
+# warp_by_homography is not called here; the traced benchmark wraps it by
+# this module's name (perfbench/workloads.py), so the name must resolve.
+from .raster import (  # noqa: F401
+    ImageGrid,
+    _warp_crop,
+    center_crop,
+    load_image,
+    save_image,
+    warp_by_homography,
+)
+from .sl3 import coeffs_from_params, compose_homography
 
 __all__ = [
     "MarginError",
@@ -120,17 +129,21 @@ def make_pair(image: ImageGrid, b, crop: int | tuple[int, int], seed: int = 0) -
     """Template/search pair: center crops of the image and its warp.
 
     ``crop`` is the square side, or ``(template_side, search_side)`` for
-    asymmetric tracking-style pairs.  Raises :class:`MarginError` when the
-    warped crop would sample beyond the source (naming the required size),
-    so in-range pairs never contain boundary zero-fill.
+    asymmetric tracking-style pairs.  Only the search crop is resampled,
+    not the whole warped source; its bytes equal cropping the full warp.
+    Raises :class:`MarginError` when the warped crop would sample beyond
+    the source (naming the required size) or from behind the horizon of
+    the transform, so in-range pairs never contain boundary zero-fill.
     """
     t_side, s_side = (crop, crop) if isinstance(crop, int) else (int(crop[0]), int(crop[1]))
     b = np.asarray(b, dtype=float)
     h = compose_homography(b)
 
-    sources = apply_homography(np.linalg.inv(h), template_corners(s_side, s_side))
-    if not np.all(np.isfinite(sources)):
+    q = np.c_[template_corners(s_side, s_side), np.ones(4)] @ np.linalg.inv(h).T
+    # w is affine over the crop, so four positive corners keep all of it in front
+    if np.any(q[:, 2] <= 0):
         raise MarginError("search crop crosses the horizon of the transform")
+    sources = q[:, :2] / q[:, 2:]
     # +1 pixel of bilinear footprint on the farthest sampled point
     need_w = 2 * int(np.ceil(np.abs(sources[:, 0]).max() + 1))
     need_h = 2 * int(np.ceil(np.abs(sources[:, 1]).max() + 1))
@@ -141,7 +154,7 @@ def make_pair(image: ImageGrid, b, crop: int | tuple[int, int], seed: int = 0) -
         )
 
     template = center_crop(image, t_side)
-    search = center_crop(warp_by_homography(image, h), s_side)
+    search = _warp_crop(image, h, s_side, s_side)
     b = b.copy()
     b.setflags(write=False)
     h.setflags(write=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl3warp.raster import ImageGrid, save_image
+from sl3warp.raster import ImageGrid, center_crop, save_image, warp_by_homography
 from sl3warp.sl3 import compose_homography, decompose_homography, projective_distance
 from sl3warp.synth import (
     PRESETS,
@@ -111,6 +111,38 @@ class TestMakePair:
         pair = make_pair(img, np.zeros(8), (127, 255))
         assert (pair.template.width, pair.search.width) == (127, 255)
 
+    @pytest.mark.parametrize(
+        "width, height, channels, preset, crop",
+        [
+            (832, 832, 1, "large", 256),
+            (641, 641, 1, "middle", (127, 255)),
+            (400, 400, 3, "middle", 128),
+            (700, 560, 1, "middle", 200),
+        ],
+        ids=["832-large", "641-asymmetric", "rgb", "non-square"],
+    )
+    def test_search_is_crop_of_full_warp(self, width, height, channels, preset, crop):
+        # only the crop is resampled; the full-canvas warp is the oracle
+        image = ImageGrid(texture(width, seed=700, channels=channels).pixels[:height])
+        b = sample_coeffs(PRESETS[preset], (5, 0))
+        pair = make_pair(image, b, crop)
+        s_side = crop if isinstance(crop, int) else crop[1]
+        full = warp_by_homography(image, compose_homography(b))
+        np.testing.assert_array_equal(pair.search.pixels, center_crop(full, s_side).pixels)
+
+    def test_crop_behind_horizon_rejected(self):
+        # two search corners have w = -0.536: their mirrored sources fit the
+        # margin, but the full warp zero-fills that side of the crop
+        b = np.zeros(8)
+        b[6] = 0.012
+        with pytest.raises(MarginError, match="horizon"):
+            make_pair(texture(832, seed=700), b, 256)
+
+    def test_search_parity_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="parity") as info:
+            make_pair(texture(640, seed=0), np.zeros(8), (128, 255))
+        assert not isinstance(info.value, MarginError)
+
 
 class TestMaskCorners:
     def test_radius_zero_unchanged(self):
@@ -186,6 +218,14 @@ class TestGenerateDataset:
         manifest = generate_dataset(src, PRESETS["middle"], 2, 1, tmp_path / "out")
         assert manifest["count_emitted"] == 0
         assert len(manifest["warnings"]) == 2
+
+    def test_search_parity_mismatch_warns_and_skips(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        save_image(texture(640, seed=0), src / "even.pgm")
+        manifest = generate_dataset(src, PRESETS["middle"], 1, 1, tmp_path / "out", crop=(128, 255))
+        assert manifest["count_emitted"] == 0
+        assert len(manifest["warnings"]) == 1 and "parity" in manifest["warnings"][0]
 
     def test_empty_source_dir_rejected(self, tmp_path):
         src = tmp_path / "empty"
