@@ -93,6 +93,7 @@ def run_benchmark(dataset_dir, stages=None) -> BenchmarkReport:
     dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
     crop = manifest.get("crop", 256)
+    crop = crop if isinstance(crop, int) else int(crop[0])  # (template, search) sides
     config = EstimatorConfig(
         warp=WarpConfig.for_width(crop),
         stages=tuple(stages) if stages is not None else CASCADE_ORDER,

@@ -39,7 +39,7 @@ def template_corners(width: float, height: float) -> np.ndarray:
 
 def _map_corner(h: np.ndarray, corner: np.ndarray) -> tuple[float, float] | None:
     q = h @ np.array([corner[0], corner[1], 1.0])
-    if abs(q[2]) < 1e-12 * max(abs(q[0]), abs(q[1]), 1.0):
+    if q[2] < 1e-12 * max(abs(q[0]), abs(q[1]), 1.0):  # on or behind the horizon
         return None
     return q[0] / q[2], q[1] / q[2]
 
@@ -47,7 +47,7 @@ def _map_corner(h: np.ndarray, corner: np.ndarray) -> tuple[float, float] | None
 def alignment_error(h_pred, h_true, corners) -> float:
     """Mean four-corner displacement between two homographies, in pixels.
 
-    A corner sent to the line at infinity by either map yields ``inf``:
+    A corner sent to or behind the line at infinity by either map yields ``inf``:
     the estimate is unusable at that corner and the caller is expected to
     count such samples separately.
     """

@@ -5,6 +5,8 @@ intensities in ``[0, 1]``.  The continuous coordinate of pixel ``(row, col)``
 is ``(col - (w-1)/2, row - (h-1)/2)``: the image center is the origin, +x
 points right, +y points down.  All geometric operations in the package fix
 the center, so this convention is load-bearing rather than cosmetic.
+Warps project their pixel grid with :func:`sl3warp.sl3.apply_homography`,
+so a pixel whose source lies behind the camera reads zero.
 
 Files are Netpbm binary rasters (P5 grayscale / P6 RGB) at 8 or 16 bits,
 which round-trip losslessly.  Parameter sidecars are JSON and handled by
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sl3 import SingularMatrixError, _as_matrix
+from .sl3 import SingularMatrixError, _as_matrix, apply_homography
 
 __all__ = [
     "ImageGrid",
@@ -99,8 +101,9 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     """Bilinear lookup at center-origin points; zero outside the image box.
 
     ``points`` is ``(..., 2)`` as (x, y); the result is ``(..., channels)``.
-    Samples beyond ``[-w/2, w/2] x [-h/2, h/2]`` return exactly zero, and
-    neighbors outside the pixel lattice contribute zero to the blend.
+    Samples beyond ``[-w/2, w/2] x [-h/2, h/2]`` or at non-finite points
+    return exactly zero, and neighbors outside the pixel lattice contribute
+    zero to the blend.
     """
     p = np.asarray(points, dtype=float)
     planes = _sample_padded(_pad_planes(image.pixels), p.reshape(-1, 2))
@@ -157,32 +160,28 @@ def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def warp_by_homography(image: ImageGrid, h) -> ImageGrid:
     """Resample through the inverse map: output(p) = input(H^-1 p).
 
-    Content moves forward by ``H``; output size equals input size and
-    pixels whose source falls outside the input are zero.
+    Content moves forward by ``H``; output size equals input size.  Pixels
+    whose source falls outside the input, or behind the camera (see
+    :func:`~sl3warp.sl3.apply_homography`), are zero.
     """
-    return _warp_crop(image, h, image.width, image.height)
+    try:
+        h_inv = np.linalg.inv(_as_matrix(h))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("homography is not invertible") from exc
+    return _warp_crop(image, h_inv, image.width, image.height)
 
 
-def _warp_crop(image: ImageGrid, h, width: int, height: int) -> ImageGrid:
-    """The centered ``width x height`` crop of ``warp_by_homography(image, h)``.
+def _warp_crop(image: ImageGrid, h_inv: np.ndarray, width: int, height: int) -> ImageGrid:
+    """The centered ``width x height`` crop of ``warp_by_homography(image, H)``,
+    given ``h_inv = H^-1``.
 
     Only the crop's own pixels are resampled, with the same arithmetic, so
     the bytes equal cropping the full warp.  Raises :func:`center_crop`'s
     ``ValueError`` for a crop that does not fit or would shift the center.
     """
     _crop_origin(image, width, height)
-    h = _as_matrix(h)
-    try:
-        h_inv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("homography is not invertible") from exc
-    grid = _centered_grid(width, height).reshape(-1, 2)
-    ones = np.ones((grid.shape[0], 1))
-    src = np.concatenate([grid, ones], axis=1) @ h_inv.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        src2 = src[:, :2] / src[:, 2:3]
-    src2[~np.isfinite(src2)] = 1e12  # far outside: sampled as zero
-    sampled = bilinear_sample(image, src2)
+    src = apply_homography(h_inv, _centered_grid(width, height).reshape(-1, 2))
+    sampled = bilinear_sample(image, src)
     return ImageGrid(sampled.reshape(height, width, image.channels))
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import ImageGrid, _pad_planes, _sample_padded
-from .sl3 import FACTOR_COEFFS, compose_homography, factor_matrices, generators
+from .raster import ImageGrid, _centered_grid, _pad_planes, _sample_padded
+from .sl3 import FACTOR_COEFFS, _dehomogenize, compose_homography, factor_matrices, generators
 
 __all__ = ["refine", "residual_jacobian"]
 
@@ -186,9 +186,7 @@ def _pool(mask: np.ndarray) -> np.ndarray:
 def _level(template, template_valid, search, search_valid, offset, k: int) -> _Level:
     h, w = template.shape
     factor = 2.0**k
-    xs = np.arange(w) - (w - 1) / 2.0 + offset[0]
-    ys = np.arange(h) - (h - 1) / 2.0 + offset[1]
-    xx, yy = np.meshgrid(xs, ys)
+    grid = _centered_grid(w, h).reshape(-1, 2) + offset
     grad_x, grad_y = _gradient(template)
     return _Level(
         template=template,
@@ -196,7 +194,7 @@ def _level(template, template_valid, search, search_valid, offset, k: int) -> _L
         grad_y=grad_y,
         valid=_erode(template_valid),
         search=_pad_planes(np.stack([search, search_valid.astype(float)], axis=-1)),
-        points=np.stack([xx.ravel(), yy.ravel(), np.ones(h * w)], axis=1),
+        points=np.c_[grid, np.ones(h * w)],
         offset=offset,
         scale=np.array([1 / factor, 1 / factor, 1, 1, 1, 1, factor, factor]),
     )
@@ -226,11 +224,8 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
         h = compose_homography(level.scale * b)
     except (ValueError, OverflowError):
         return None
-    q = level.points @ h.T
-    if not np.all(q[:, 2] > 0.0):  # the horizon crosses the template
-        return None
-    uv = q[:, :2] / q[:, 2:3] - level.offset
-    if not np.all(np.isfinite(uv)):
+    uv = _dehomogenize(level.points @ h.T) - level.offset
+    if not np.all(np.isfinite(uv)):  # the horizon crosses the template
         return None
     warped, coverage = _sample_padded(level.search, uv).reshape((2,) + level.template.shape)
     valid = level.valid & _erode(coverage >= _MASK_FULL)

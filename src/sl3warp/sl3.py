@@ -9,7 +9,9 @@ factors; factor by factor the two agree up to projective scale.
 
 Matrices are plain ``(3, 3)`` float arrays.  ``normalize_homography`` fixes
 the projective scale so that ``det H = 1``; comparisons that should ignore
-scale go through ``projective_distance``.
+scale go through ``projective_distance``.  Points are projected through a
+homography by ``apply_homography``, which owns the in-front rule: a point
+with homogeneous ``w <= 0`` lies behind the camera and maps to NaN.
 """
 
 from __future__ import annotations
@@ -268,18 +270,21 @@ def _unit_projective(h) -> np.ndarray:
 def apply_homography(h, points) -> np.ndarray:
     """Map center-origin points ``(..., 2)`` through a homography.
 
-    Points sent to the line at infinity come back as non-finite values; the
-    caller decides how to treat them.
+    The sign of ``h`` is meaningful, as for every :func:`compose_homography`
+    result and its inverse: a point whose homogeneous ``w`` is not positive
+    lies on or behind the line at infinity and comes back as NaN.
     """
     h = _as_matrix(h)
     p = np.asarray(points, dtype=float)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    ones = np.ones(p.shape[:-1] + (1,))
-    q = np.concatenate([p, ones], axis=-1) @ h.T
+    return _dehomogenize(np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.T)
+
+
+def _dehomogenize(q: np.ndarray) -> np.ndarray:
+    """``(x / w, y / w)`` of homogeneous points ``(..., 3)``; NaN where ``w <= 0``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = q[..., :2] / q[..., 2:3]
-    return out[0] if squeeze else out
+    out[q[..., 2] <= 0.0] = np.nan
+    return out
 
 
 # Degree-13 diagonal Padé coefficients and its scaling threshold.

@@ -29,7 +29,7 @@ from .raster import (  # noqa: F401
     save_image,
     warp_by_homography,
 )
-from .sl3 import coeffs_from_params, compose_homography
+from .sl3 import apply_homography, coeffs_from_params, compose_homography
 
 __all__ = [
     "MarginError",
@@ -139,11 +139,11 @@ def make_pair(image: ImageGrid, b, crop: int | tuple[int, int], seed: int = 0) -
     b = np.asarray(b, dtype=float)
     h = compose_homography(b)
 
-    q = np.c_[template_corners(s_side, s_side), np.ones(4)] @ np.linalg.inv(h).T
-    # w is affine over the crop, so four positive corners keep all of it in front
-    if np.any(q[:, 2] <= 0):
+    h_inv = np.linalg.inv(h)
+    sources = apply_homography(h_inv, template_corners(s_side, s_side))
+    # w is affine over the crop, so four corners in front keep all of it in front
+    if not np.all(np.isfinite(sources)):
         raise MarginError("search crop crosses the horizon of the transform")
-    sources = q[:, :2] / q[:, 2:]
     # +1 pixel of bilinear footprint on the farthest sampled point
     need_w = 2 * int(np.ceil(np.abs(sources[:, 0]).max() + 1))
     need_h = 2 * int(np.ceil(np.abs(sources[:, 1]).max() + 1))
@@ -154,7 +154,7 @@ def make_pair(image: ImageGrid, b, crop: int | tuple[int, int], seed: int = 0) -
         )
 
     template = center_crop(image, t_side)
-    search = _warp_crop(image, h, s_side, s_side)
+    search = _warp_crop(image, h_inv, s_side, s_side)
     b = b.copy()
     b.setflags(write=False)
     h.setflags(write=False)

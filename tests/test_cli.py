@@ -13,7 +13,7 @@ from sl3warp.cascade import EstimatorConfig, estimate
 from sl3warp.cli import cli
 from sl3warp.raster import load_image, save_image
 from sl3warp.sl3 import compose_homography
-from sl3warp.synth import PRESETS, make_pair, sample_coeffs, texture
+from sl3warp.synth import PRESETS, generate_dataset, make_pair, sample_coeffs, texture
 from sl3warp.warps import WarpConfig
 
 
@@ -191,6 +191,19 @@ class TestDatasetAndBenchmark:
         report = json.loads(report_path.read_text())
         assert len(report["samples"]) == 2
         assert report["config"]["warp_n"] == 254
+
+    def test_benchmark_reads_two_sided_crop(self, source_dir, tmp_path, capsys):
+        # generate_dataset records a (template, search) crop as a list
+        equal, unequal = tmp_path / "equal", tmp_path / "unequal"
+        generate_dataset(source_dir, PRESETS["middle"], 2, 7, equal, crop=(128, 128))
+        generate_dataset(source_dir, PRESETS["middle"], 1, 7, unequal, crop=(128, 130))
+        report_path = tmp_path / "report.json"
+        assert cli(["benchmark", "--dataset", str(equal), "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert len(report["samples"]) == 2
+        assert report["config"]["warp_n"] == 128
+        assert cli(["benchmark", "--dataset", str(unequal), "--report", str(report_path)]) == 2
+        assert "identical dimensions" in capsys.readouterr().err
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert cli(["benchmark", "--dataset", str(tmp_path / "none"),

@@ -50,6 +50,16 @@ class TestAlignmentError:
         # corner (-128, -128): w = 1 - 1 = 0
         assert alignment_error(h, np.eye(3), CORNERS) == math.inf
 
+    def test_corner_behind_camera_is_inf(self):
+        b = np.zeros(8)
+        b[6] = 0.012
+        h = compose_homography(b)
+        # corners (-128, +-128) have w = -0.536: no finite displacement
+        w = (np.c_[CORNERS, np.ones(4)] @ h.T)[:, 2]
+        assert w.min() < 0
+        assert alignment_error(h, np.eye(3), CORNERS) == math.inf
+        assert alignment_error(np.eye(3), h, CORNERS) == math.inf
+
     def test_bad_corners_shape(self):
         with pytest.raises(ValueError):
             alignment_error(np.eye(3), np.eye(3), np.zeros((3, 2)))

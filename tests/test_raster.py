@@ -16,6 +16,7 @@ from sl3warp.raster import (
     warp_by_homography,
 )
 from sl3warp.sl3 import SingularMatrixError, compose_homography, translation_matrix
+from sl3warp.synth import texture
 
 from conftest import smooth_image
 from oracles import bilinear_reference
@@ -157,6 +158,20 @@ class TestWarpByHomography:
         twice = warp_by_homography(warp_by_homography(img, h2), h1)
         inner = (slice(12, 52), slice(12, 52))
         assert np.abs(once.pixels[inner] - twice.pixels[inner]).mean() < 0.02
+
+    def test_zero_behind_camera(self):
+        # the sources of the left pixels have w <= 0; dividing anyway would
+        # read the mirrored image there
+        b = np.zeros(8)
+        b[6] = 0.02
+        h = compose_homography(b)
+        out = warp_by_homography(texture(256, seed=3), h)
+        grid = pixel_grid(out)
+        w = (np.concatenate([grid, np.ones((256, 256, 1))], axis=-1) @ np.linalg.inv(h).T)[..., 2]
+        behind = w <= 0
+        assert behind.sum() > 10_000
+        assert np.all(out.pixels[behind] == 0.0)
+        assert np.count_nonzero(out.pixels[~behind]) > 0
 
     def test_zero_fill_outside(self):
         img = ImageGrid(np.ones((16, 16)))

@@ -322,3 +322,11 @@ class TestApplyHomography:
         h = np.array([[1.0, 0, 0], [0, 1, 0], [-1.0, 0, 1]])
         out = apply_homography(h, np.array([1.0, 0.0]))
         assert not np.all(np.isfinite(out))
+
+    def test_behind_camera_is_nan(self):
+        # w = 1 - x: in front for x < 1, behind for x > 1
+        h = np.array([[1.0, 0, 0], [0, 1, 0], [-1.0, 0, 1]])
+        out = apply_homography(h, np.array([[0.5, 2.0], [3.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(out[0], [1.0, 4.0])
+        assert np.all(np.isnan(out[1:]))
+        assert np.all(np.isnan(apply_homography(-np.eye(3), np.array([1.0, 2.0]))))
