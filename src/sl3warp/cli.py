@@ -172,6 +172,10 @@ def _cmd_sensitivity(args) -> int:
     nuisance = args.nuisance - 1 if args.nuisance is not None else DEFAULT_NUISANCE[kind]
     if not 0 <= nuisance <= 7:
         raise _UsageError("nuisance coefficient index must be in 1..8")
+    if args.points < 1:
+        raise _UsageError("--points must be at least 1")
+    if args.probe_size < 2:
+        raise _UsageError("--probe-size must be at least 2")
     span_p = DEFAULT_SPAN[primary]
     span_n = DEFAULT_SPAN[nuisance]
     probe = texture(args.probe_size, seed=args.seed)

@@ -106,17 +106,18 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     zero to the blend.
     """
     p = np.asarray(points, dtype=float)
-    planes = _sample_padded(_pad_planes(image.pixels), p.reshape(-1, 2))
+    planes = _sample_padded(_pad_planes(image.pixels, 0.0), p.reshape(-1, 2))
     return np.ascontiguousarray(planes.T).reshape(p.shape[:-1] + (image.channels,))
 
 
-def _pad_planes(pixels: np.ndarray) -> np.ndarray:
-    """Channel planes of an ``(h, w, c)`` array with one pixel of zeros
-    around each, shape ``(c, h + 2, w + 2)``: every in-box point then reads
-    its four neighbors from one flat index without bounds checks."""
+def _pad_planes(pixels: np.ndarray, pad: float) -> np.ndarray:
+    """Channel planes of an ``(h, w, c)`` array with one pixel of ``pad``
+    around each, shape ``(c, h + 2, w + 2)``: every point then reads its
+    four neighbors from one flat index without bounds checks."""
     h, w, c = pixels.shape
-    planes = np.zeros((c, h + 2, w + 2))
+    planes = np.empty((c, h + 2, w + 2))
     planes[:, 1:-1, 1:-1] = np.moveaxis(pixels, 2, 0)
+    planes[:, [0, -1]] = planes[:, :, [0, -1]] = pad
     return planes
 
 
@@ -125,13 +126,14 @@ def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
     ``pts`` is ``(n, 2)``; the result is ``(c, n)``, one row per channel.
     Indices and weights are computed once; each channel is then gathered
-    from its own contiguous plane and accumulated in place.
+    from its own contiguous plane and accumulated in place.  An out-of-box
+    or non-finite point lands on the padding's corner, so it reads the pad
+    value with weight one.
     """
     c, h, w = planes.shape[0], planes.shape[1] - 2, planes.shape[2] - 2
     inside = (np.abs(pts[:, 0]) <= w / 2.0) & (np.abs(pts[:, 1]) <= h / 2.0)
-    # out-of-box points read the center and are zeroed at the end
-    col = np.where(inside, pts[:, 0], 0.0) + (w - 1) / 2.0
-    row = np.where(inside, pts[:, 1], 0.0) + (h - 1) / 2.0
+    col = np.where(inside, pts[:, 0] + (w - 1) / 2.0, -1.0)
+    row = np.where(inside, pts[:, 1] + (h - 1) / 2.0, -1.0)
     c0 = np.floor(col)
     r0 = np.floor(row)
     fc = col - c0
@@ -152,8 +154,6 @@ def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
             np.take(flat[offset:], base, out=neighbor)
             neighbor *= wgt
             acc += neighbor
-    if not inside.all():
-        out[:, ~inside] = 0.0
     return out
 
 

@@ -15,10 +15,12 @@ the generator ``A_i`` carried through the factors after its own.  Updating
 ``b`` directly keeps ``h == compose_homography(b)`` exact and leaves every
 coefficient outside ``free`` untouched.
 
-Pixels that are exactly zero in either image (masked-out regions) and
-pixels whose sample falls off the search image are skipped; both masks are
-eroded by one pixel so that no gradient reads a skipped neighbor.  The
-coarse levels run from every given start plus the identity (in
+Pixels that are exactly zero (masked-out regions) become NaN, and the
+search is padded with NaN.  NaN carries through the box pyramid, the
+bilinear blend and the central differences, so a pixel counts only where
+its residual and ESM gradient are finite: both images cover it and its
+four neighbors, and no sample falls off the search image.  The coarse
+levels run from every given start plus the identity (in
 ``estimate``: the capture estimate, the plain windowed translation peak,
 the identity) and keep the one with the lowest cost, so the photometric
 cost alone arbitrates between the correlation routes.  A step that is
@@ -55,23 +57,20 @@ _LAMBDA_MAX = 1e4
 _RELATIVE_DECREASE = 1e-2
 # Fewer valid pixels than this make a level's cost meaningless.
 _MIN_VALID = 16
-# A bilinear blend of the 0/1 search mask reads this high only when every
-# neighbor it weights is valid.
-_MASK_FULL = 1.0 - 1e-9
 
 _GENERATORS = np.stack(generators())
 
 
 @dataclass(frozen=True)
 class _Level:
-    """One pyramid level: the template side precomputed, the search as two
-    zero-padded planes (intensity, validity) so one lookup warps both."""
+    """One pyramid level: the template side precomputed, the search as one
+    NaN-padded plane.  NaN marks every missing pixel, and the template's
+    gradients are NaN wherever a neighbor is missing."""
 
     template: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
-    valid: np.ndarray
-    search: np.ndarray  # (2, h + 2, w + 2), see raster._pad_planes
+    search: np.ndarray  # (1, h + 2, w + 2), see raster._pad_planes
     points: np.ndarray  # (h*w, 3) homogeneous center-origin coordinates
     offset: np.ndarray  # (2,) ``points`` minus the level's own center-origin coordinates
     scale: np.ndarray   # level coefficients are ``scale * b``
@@ -80,8 +79,9 @@ class _Level:
 @dataclass(frozen=True)
 class _Evaluation:
     cost: float
-    residual: np.ndarray  # over ``valid`` pixels
-    warped: np.ndarray
+    residual: np.ndarray  # over ``valid`` pixels, like the ESM gradients
+    grad_x: np.ndarray
+    grad_y: np.ndarray
     valid: np.ndarray
 
 
@@ -136,11 +136,11 @@ def residual_jacobian(
 
     Returns ``(r, valid, J)``: ``r`` and the rows of ``J`` follow the valid
     pixels in row-major order, and ``J`` has one column per entry of
-    ``free``.  Empty arrays when no pixel is valid.
+    ``free``.  Empty arrays (and an all-false mask) when ``H(b)`` is
+    unusable or fewer than ``_MIN_VALID`` pixels are valid.
     """
     free = np.array(free, dtype=int)
-    t, s = _plane(template), _plane(search)
-    level = _level(t, t != 0.0, s, s != 0.0, np.zeros(2), 0)
+    level = _level(_plane(template), _plane(search), np.zeros(2), 0)
     ev = _evaluate(level, np.asarray(b, dtype=float))
     if ev is None:
         return np.zeros(0), np.zeros(template.pixels.shape[:2], bool), np.zeros((0, free.size))
@@ -148,25 +148,25 @@ def residual_jacobian(
 
 
 def _plane(image: ImageGrid) -> np.ndarray:
-    return image.pixels[:, :, 0] if image.channels == 1 else image.pixels.mean(axis=2)
+    """The image's intensity, with NaN where it is exactly zero (masked)."""
+    p = image.pixels[:, :, 0] if image.channels == 1 else image.pixels.mean(axis=2)
+    return np.where(p == 0.0, np.nan, p)
 
 
 def _pyramid(template: ImageGrid, search: ImageGrid) -> list[_Level]:
     """Levels from the coarsest to the finest one refined.
 
-    Validity is min-pooled alongside the box average, so a reduced pixel is
-    valid only when its whole full-resolution footprint is.  An odd last row
-    or column is dropped before a reduction; the half-pixel shift this puts
-    between the level's center and the full image's accumulates in the
-    level's offset.
+    The box average keeps NaN, so a reduced pixel is valid only when its
+    whole full-resolution footprint is.  An odd last row or column is
+    dropped before a reduction; the half-pixel shift this puts between the
+    level's center and the full image's accumulates in the level's offset.
     """
-    t, s = _plane(template), _plane(search)
-    planes = [(t, t != 0.0, s, s != 0.0, np.zeros(2))]
+    planes = [(_plane(template), _plane(search), np.zeros(2))]
     while all(side // 2 >= _MIN_SIDE for side in planes[-1][0].shape):
         h, w = planes[-1][0].shape
-        t, tm, s, sm = (p[: h - h % 2, : w - w % 2] for p in planes[-1][:4])
-        offset = (planes[-1][4] - 0.5 * np.array([w % 2, h % 2])) / 2.0
-        planes.append((_reduce(t), _pool(tm), _reduce(s), _pool(sm), offset))
+        t, s = (p[: h - h % 2, : w - w % 2] for p in planes[-1][:2])
+        offset = (planes[-1][2] - 0.5 * np.array([w % 2, h % 2])) / 2.0
+        planes.append((_reduce(t), _reduce(s), offset))
     finest = next(
         (k for k, p in enumerate(planes) if max(p[0].shape) <= _FINEST_SIDE),
         len(planes) - 1,
@@ -179,11 +179,7 @@ def _reduce(plane: np.ndarray) -> np.ndarray:
     return 0.25 * (plane[0::2, 0::2] + plane[0::2, 1::2] + plane[1::2, 0::2] + plane[1::2, 1::2])
 
 
-def _pool(mask: np.ndarray) -> np.ndarray:
-    return mask[0::2, 0::2] & mask[0::2, 1::2] & mask[1::2, 0::2] & mask[1::2, 1::2]
-
-
-def _level(template, template_valid, search, search_valid, offset, k: int) -> _Level:
+def _level(template, search, offset, k: int) -> _Level:
     h, w = template.shape
     factor = 2.0**k
     grid = _centered_grid(w, h).reshape(-1, 2) + offset
@@ -192,27 +188,18 @@ def _level(template, template_valid, search, search_valid, offset, k: int) -> _L
         template=template,
         grad_x=grad_x,
         grad_y=grad_y,
-        valid=_erode(template_valid),
-        search=_pad_planes(np.stack([search, search_valid.astype(float)], axis=-1)),
+        search=_pad_planes(search[:, :, None], np.nan),
         points=np.c_[grid, np.ones(h * w)],
         offset=offset,
         scale=np.array([1 / factor, 1 / factor, 1, 1, 1, 1, factor, factor]),
     )
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """Keep pixels whose four neighbors are in the mask; drops the border."""
-    out = np.zeros_like(mask)
-    out[1:-1, 1:-1] = (
-        mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1] & mask[1:-1, :-2] & mask[1:-1, 2:]
-    )
-    return out
-
-
 def _gradient(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences along x and y; border values are never used."""
-    gx = np.zeros_like(plane)
-    gy = np.zeros_like(plane)
+    """Central differences along x and y; NaN on the border, which has no
+    neighbor to difference against, and wherever a neighbor is NaN."""
+    gx = np.full_like(plane, np.nan)
+    gy = np.full_like(plane, np.nan)
     gx[:, 1:-1] = 0.5 * (plane[:, 2:] - plane[:, :-2])
     gy[1:-1] = 0.5 * (plane[2:] - plane[:-2])
     return gx, gy
@@ -227,13 +214,17 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
     uv = _dehomogenize(level.points @ h.T) - level.offset
     if not np.all(np.isfinite(uv)):  # the horizon crosses the template
         return None
-    warped, coverage = _sample_padded(level.search, uv).reshape((2,) + level.template.shape)
-    valid = level.valid & _erode(coverage >= _MASK_FULL)
+    warped = _sample_padded(level.search, uv).reshape(level.template.shape)
+    wx, wy = _gradient(warped)
+    gx = 0.5 * (level.grad_x + wx)
+    gy = 0.5 * (level.grad_y + wy)
+    residual = warped - level.template
+    valid = np.isfinite(residual + gx + gy)
     count = int(np.count_nonzero(valid))
     if count < _MIN_VALID:
         return None
-    residual = warped[valid] - level.template[valid]
-    return _Evaluation(float(residual @ residual) / count, residual, warped, valid)
+    residual = residual[valid]
+    return _Evaluation(float(residual @ residual) / count, residual, gx[valid], gy[valid], valid)
 
 
 def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -> np.ndarray:
@@ -244,9 +235,7 @@ def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -
     row per pixel over the nine entries of ``M``, which the tangents map to
     the coefficients.
     """
-    wx, wy = _gradient(ev.warped)
-    gx = 0.5 * (level.grad_x[ev.valid] + wx[ev.valid])
-    gy = 0.5 * (level.grad_y[ev.valid] + wy[ev.valid])
+    gx, gy = ev.grad_x, ev.grad_y
     pts = level.points[ev.valid.ravel()]
     gz = -(gx * pts[:, 0] + gy * pts[:, 1])
     rows = np.concatenate([gx[:, None] * pts, gy[:, None] * pts, gz[:, None] * pts], axis=1)

@@ -187,8 +187,11 @@ def texture(size: int, seed, channels: int = 1, exponent: float = 1.8) -> ImageG
 
     Multi-scale structure makes these useful probes for every warp: coarse
     blobs survive large rotations while fine grain pins down subpixel
-    peaks.
+    peaks.  Raises ``ValueError`` for ``size < 2``, which has no field to
+    normalize.
     """
+    if size < 2:
+        raise ValueError(f"texture size must be at least 2, got {size}")
     rng = np.random.default_rng(seed)
     freq = np.fft.fftfreq(size)
     fx, fy = np.meshgrid(freq, freq)

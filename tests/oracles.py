@@ -91,7 +91,7 @@ def brute_force_circular_peak(a, b):
 def bilinear_reference(pixels, x, y):
     """Scalar zero-padded bilinear lookup in center-origin coordinates."""
     h, w = pixels.shape[:2]
-    if abs(x) > w / 2 or abs(y) > h / 2:
+    if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > w / 2 or abs(y) > h / 2:
         return np.zeros(pixels.shape[2])
     col = x + (w - 1) / 2.0
     row = y + (h - 1) / 2.0
@@ -104,6 +104,38 @@ def bilinear_reference(pixels, x, y):
             if 0 <= rr < h and 0 <= cc < w and wr * wc != 0.0:
                 out += wr * wc * pixels[rr, cc]
     return out
+
+
+def refine_valid_reference(template, search, h):
+    """Pixels the photometric refinement counts, decided one at a time.
+
+    ``template`` and ``search`` are 2-D intensity planes in which exact
+    zero marks a masked pixel.  A template pixel is valid when it is off
+    the border, the template is nonzero at it and at its four neighbors,
+    and each of those five points maps through ``h`` to a spot whose four
+    lattice neighbors all lie inside the search and are nonzero there.
+    """
+    th, tw = template.shape
+    sh, sw = search.shape
+
+    def covered(r, c):
+        x, y = map_corner(h, (c - (tw - 1) / 2.0, r - (th - 1) / 2.0))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
+        c0 = math.floor(x + (sw - 1) / 2.0)
+        r0 = math.floor(y + (sh - 1) / 2.0)
+        return all(
+            0 <= rr < sh and 0 <= cc < sw and search[rr, cc] != 0.0
+            for rr in (r0, r0 + 1)
+            for cc in (c0, c0 + 1)
+        )
+
+    valid = np.zeros((th, tw), dtype=bool)
+    for r in range(1, th - 1):
+        for c in range(1, tw - 1):
+            cross = ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+            valid[r, c] = all(template[rr, cc] != 0.0 and covered(rr, cc) for rr, cc in cross)
+    return valid
 
 
 def phase_correlate_full_complex(a, b, window_power, circular_vertical, subpixel, band_limit):

@@ -222,3 +222,19 @@ class TestSensitivityCommand:
         assert cli(["sensitivity", "--kind", "persp1", "--out", str(out),
                     "--points", "3", "--probe-size", "255"]) == 0
         assert "# predicted" in out.read_text()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--probe-size", "0"),
+        ("--probe-size", "1"),
+        ("--points", "0"),
+        ("--points", "-3"),
+    ])
+    def test_bad_size_is_usage_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "sens.csv"
+        args = {"--points": "3", "--probe-size": "64", option: value}
+        argv = ["sensitivity", "--kind", "shear", "--out", str(out)]
+        for name, v in args.items():
+            argv += [name, v]
+        assert cli(argv) == 1
+        assert f"{option} must be at least" in capsys.readouterr().err
+        assert not out.exists()

@@ -80,13 +80,17 @@ class TestBilinearSample:
     @pytest.mark.parametrize("shape", [(15, 16, 1), (8, 5, 3), (9, 12, 2), (7, 6, 4)])
     def test_equals_scalar_reference_bit_for_bit(self, shape):
         # same weights, same summation order: not one bit may differ, on the
-        # border band, the box edges, lattice points or far outside
+        # border band, the box edges, lattice points, far outside or at
+        # non-finite points
         h, w, _ = shape
         rng = np.random.default_rng(4)
         img = ImageGrid(rng.random(shape))
+        nan, inf = math.nan, math.inf
         pts = np.concatenate([
             rng.uniform([-w / 2 - 2, -h / 2 - 2], [w / 2 + 2, h / 2 + 2], size=(400, 2)),
             [[w / 2, h / 2], [-w / 2, -h / 2], [w / 2, 0.0], [0.0, -h / 2], [1e12, -1e12]],
+            [[nan, nan], [inf, -inf], [-inf, inf], [nan, 0.0], [0.0, nan],
+             [inf, 0.0], [0.0, -inf], [nan, inf], [-inf, nan], [nan, h / 2]],
             rng.integers(-1, max(w, h) + 1, size=(50, 2)) - [(w - 1) / 2, (h - 1) / 2],
         ])
         got = bilinear_sample(img, pts)

@@ -19,7 +19,7 @@ from sl3warp.synth import make_pair, mask_corners
 from sl3warp.warps import WarpConfig
 
 from conftest import smooth_image
-from oracles import bilinear_reference, map_corner
+from oracles import bilinear_reference, map_corner, refine_valid_reference
 
 # Every coefficient away from zero, so each tangent is conjugated by the
 # factors after its own.
@@ -57,6 +57,18 @@ class TestResidualJacobian:
         assert len(rows) > 2000
         want = oracle_residual(template, search, B_JACOBIAN, rows, cols)
         np.testing.assert_allclose(r, want, atol=1e-12)
+
+    def test_valid_pixels_match_oracle_on_masked_pair(self, pair):
+        # masked corners in both images: the rule that decides which pixels
+        # count, against a per-pixel scalar decision
+        template, search = (mask_corners(image, 20) for image in pair)
+        _, valid, _ = residual_jacobian(template, search, B_JACOBIAN, range(8))
+        want = refine_valid_reference(
+            template.pixels[:, :, 0], search.pixels[:, :, 0], compose_homography(B_JACOBIAN)
+        )
+        _, unmasked, _ = residual_jacobian(*pair, B_JACOBIAN, range(8))
+        assert 1000 < want.sum() < unmasked.sum()
+        np.testing.assert_array_equal(valid, want)
 
     def test_jacobian_matches_central_differences(self, pair):
         # at the solution the ESM gradient is the gradient of the warped

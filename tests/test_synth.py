@@ -172,6 +172,17 @@ class TestMaskCorners:
             mask_corners(texture(32, seed=8), -1)
 
 
+class TestTexture:
+    @pytest.mark.parametrize("size", [-2, 0, 1])
+    def test_size_below_two_rejected(self, size):
+        with pytest.raises(ValueError, match="at least 2"):
+            texture(size, seed=0)
+
+    def test_smallest_size_spans_unit_range(self):
+        img = texture(2, seed=0)
+        assert img.pixels.min() == 0.0 and img.pixels.max() == 1.0
+
+
 class TestGenerateDataset:
     @pytest.fixture()
     def source_dir(self, tmp_path):
