@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mask-radius", type=float, default=0.0)
-    p.add_argument("--crop", type=int, default=256)
+    p.add_argument("--crop", type=int, nargs="+", default=[256], metavar="SIDE",
+                   help="template side, or template and search sides")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("benchmark", help="run the estimator over a dataset")
@@ -137,6 +138,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
+    if len(args.crop) > 2 or min(args.crop) < 1:
+        raise _UsageError("--crop takes one or two sides of at least 1")
+    if args.count < 0 or not args.mask_radius >= 0:
+        raise _UsageError("--count and --mask-radius must be non-negative")
     manifest = generate_dataset(
         args.source,
         PRESETS[args.preset],
@@ -144,7 +149,7 @@ def _cmd_gen_dataset(args) -> int:
         args.seed,
         args.out,
         mask_radius=args.mask_radius,
-        crop=args.crop,
+        crop=args.crop[0] if len(args.crop) == 1 else tuple(args.crop),
         preset_name=args.preset,
     )
     print(f"wrote {manifest['count_emitted']}/{manifest['count_requested']} samples to {args.out}")

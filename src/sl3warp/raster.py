@@ -5,8 +5,11 @@ intensities in ``[0, 1]``.  The continuous coordinate of pixel ``(row, col)``
 is ``(col - (w-1)/2, row - (h-1)/2)``: the image center is the origin, +x
 points right, +y points down.  All geometric operations in the package fix
 the center, so this convention is load-bearing rather than cosmetic.
-Warps project their pixel grid with :func:`sl3warp.sl3.apply_homography`,
-so a pixel whose source lies behind the camera reads zero.
+Warps project their pixel grid through :mod:`sl3warp.sl3`'s in-front
+rule, so a pixel whose source lies behind the camera reads zero.
+Internally points travel as coordinate planes, one row per coordinate:
+``(3, n)`` homogeneous ``x, y, 1`` to project, ``(2, n)`` ``x, y`` to
+sample, whose transpose is the ``(n, 2)`` that ``bilinear_sample`` takes.
 
 Files are Netpbm binary rasters (P5 grayscale / P6 RGB) at 8 or 16 bits,
 which round-trip losslessly.  Parameter sidecars are JSON and handled by
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sl3 import SingularMatrixError, _as_matrix, apply_homography
+from .sl3 import SingularMatrixError, _as_matrix, _project
 
 __all__ = [
     "ImageGrid",
@@ -59,11 +62,13 @@ class ImageGrid:
             p = p[:, :, None]
         if p.ndim != 3 or p.shape[0] < 1 or p.shape[1] < 1 or p.shape[2] < 1:
             raise ValueError(f"pixels must be (h, w[, c]) with h, w >= 1, got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        # NaN propagates into the minimum and an infinity is an extreme
+        lo, hi = p.min(), p.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("pixel values must be finite")
-        if p.min() < -1e-9 or p.max() > 1 + 1e-9:
+        if lo < -1e-9 or hi > 1 + 1e-9:
             raise ValueError("pixel values must lie in [0, 1]")
-        p = np.clip(p, 0.0, 1.0)
+        p = np.clip(p, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "pixels", p)
 
@@ -82,19 +87,21 @@ class ImageGrid:
 
 def pixel_grid(image: ImageGrid) -> np.ndarray:
     """Center-origin (x, y) coordinates of every pixel, shape (h, w, 2)."""
-    return _centered_grid(image.width, image.height)
+    grid = _centered_grid(image.width, image.height)[:2]
+    return np.ascontiguousarray(grid.T).reshape(image.height, image.width, 2)
 
 
 def _centered_grid(width: int, height: int) -> np.ndarray:
-    """Center-origin (x, y) pixel coordinates of a ``width x height`` raster.
+    """Homogeneous center-origin planes ``x, y, 1`` of a ``width x height``
+    raster, shape ``(3, height * width)`` in row-major pixel order.
 
     A centered crop of a larger raster of the same parity has exactly these
     coordinates: the half-integers are exact in floating point.
     """
-    x = np.arange(width) - (width - 1) / 2.0
-    y = np.arange(height) - (height - 1) / 2.0
-    xx, yy = np.meshgrid(x, y)
-    return np.stack([xx, yy], axis=-1)
+    grid = np.ones((3, height, width))
+    grid[0] = np.arange(width) - (width - 1) / 2.0
+    grid[1] = (np.arange(height) - (height - 1) / 2.0)[:, None]
+    return grid.reshape(3, -1)
 
 
 def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
@@ -106,7 +113,7 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     zero to the blend.
     """
     p = np.asarray(points, dtype=float)
-    planes = _sample_padded(_pad_planes(image.pixels, 0.0), p.reshape(-1, 2))
+    planes = _sample_padded(_pad_planes(image.pixels, 0.0), p.reshape(-1, 2).T)
     return np.ascontiguousarray(planes.T).reshape(p.shape[:-1] + (image.channels,))
 
 
@@ -124,16 +131,17 @@ def _pad_planes(pixels: np.ndarray, pad: float) -> np.ndarray:
 def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The bilinear lookup of :func:`bilinear_sample` on padded planes.
 
-    ``pts`` is ``(n, 2)``; the result is ``(c, n)``, one row per channel.
+    ``pts`` is ``(2, n)`` planes; the result is ``(c, n)``, one row per channel.
     Indices and weights are computed once; each channel is then gathered
     from its own contiguous plane and accumulated in place.  An out-of-box
     or non-finite point lands on the padding's corner, so it reads the pad
     value with weight one.
     """
     c, h, w = planes.shape[0], planes.shape[1] - 2, planes.shape[2] - 2
-    inside = (np.abs(pts[:, 0]) <= w / 2.0) & (np.abs(pts[:, 1]) <= h / 2.0)
-    col = np.where(inside, pts[:, 0] + (w - 1) / 2.0, -1.0)
-    row = np.where(inside, pts[:, 1] + (h - 1) / 2.0, -1.0)
+    x, y = pts
+    inside = (np.abs(x) <= w / 2.0) & (np.abs(y) <= h / 2.0)
+    col = np.where(inside, x + (w - 1) / 2.0, -1.0)
+    row = np.where(inside, y + (h - 1) / 2.0, -1.0)
     c0 = np.floor(col)
     r0 = np.floor(row)
     fc = col - c0
@@ -147,8 +155,8 @@ def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
         (stride, fr * (1 - fc)),
         (stride + 1, fr * fc),
     )
-    out = np.zeros((c, pts.shape[0]))
-    neighbor = np.empty(pts.shape[0])
+    out = np.zeros((c, pts.shape[1]))
+    neighbor = np.empty(pts.shape[1])
     for flat, acc in zip(planes.reshape(c, -1), out):
         for offset, wgt in terms:
             np.take(flat[offset:], base, out=neighbor)
@@ -180,8 +188,8 @@ def _warp_crop(image: ImageGrid, h_inv: np.ndarray, width: int, height: int) -> 
     ``ValueError`` for a crop that does not fit or would shift the center.
     """
     _crop_origin(image, width, height)
-    src = apply_homography(h_inv, _centered_grid(width, height).reshape(-1, 2))
-    sampled = bilinear_sample(image, src)
+    src = _project(h_inv, _centered_grid(width, height))
+    sampled = bilinear_sample(image, src.T)
     return ImageGrid(sampled.reshape(height, width, image.channels))
 
 
@@ -247,8 +255,7 @@ def load_image(path) -> ImageGrid:
             f"truncated raster: expected {nbytes} data bytes", len(data)
         )
     raw = np.frombuffer(data[pos : pos + nbytes], dtype=dtype)
-    pixels = raw.reshape(height, width, channels).astype(float) / maxval
-    return ImageGrid(pixels)
+    return ImageGrid(np.divide(raw.reshape(height, width, channels), maxval, dtype=float))
 
 
 def save_image(image: ImageGrid, path, bit_depth: int = 8) -> None:

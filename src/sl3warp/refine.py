@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import ImageGrid, _centered_grid, _pad_planes, _sample_padded
-from .sl3 import FACTOR_COEFFS, _dehomogenize, compose_homography, factor_matrices, generators
+from .sl3 import FACTOR_COEFFS, _project, compose_homography, factor_matrices, generators
 
 __all__ = ["refine", "residual_jacobian"]
 
@@ -65,14 +65,15 @@ _GENERATORS = np.stack(generators())
 class _Level:
     """One pyramid level: the template side precomputed, the search as one
     NaN-padded plane.  NaN marks every missing pixel, and the template's
-    gradients are NaN wherever a neighbor is missing."""
+    gradients are NaN wherever a neighbor is missing.  ``points`` holds one
+    row each for x, y and 1, so projection and the Jacobian work on rows."""
 
     template: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
     search: np.ndarray  # (1, h + 2, w + 2), see raster._pad_planes
-    points: np.ndarray  # (h*w, 3) homogeneous center-origin coordinates
-    offset: np.ndarray  # (2,) ``points`` minus the level's own center-origin coordinates
+    points: np.ndarray  # (3, h*w) homogeneous center-origin planes, row-major pixels
+    offset: np.ndarray  # (2, 1) ``points`` minus the level's own center-origin coordinates
     scale: np.ndarray   # level coefficients are ``scale * b``
 
 
@@ -182,15 +183,16 @@ def _reduce(plane: np.ndarray) -> np.ndarray:
 def _level(template, search, offset, k: int) -> _Level:
     h, w = template.shape
     factor = 2.0**k
-    grid = _centered_grid(w, h).reshape(-1, 2) + offset
+    points = _centered_grid(w, h)
+    points[:2] += offset[:, None]
     grad_x, grad_y = _gradient(template)
     return _Level(
         template=template,
         grad_x=grad_x,
         grad_y=grad_y,
         search=_pad_planes(search[:, :, None], np.nan),
-        points=np.c_[grid, np.ones(h * w)],
-        offset=offset,
+        points=points,
+        offset=offset[:, None],
         scale=np.array([1 / factor, 1 / factor, 1, 1, 1, 1, factor, factor]),
     )
 
@@ -211,7 +213,7 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
         h = compose_homography(level.scale * b)
     except (ValueError, OverflowError):
         return None
-    uv = _dehomogenize(level.points @ h.T) - level.offset
+    uv = _project(h, level.points) - level.offset
     if not np.all(np.isfinite(uv)):  # the horizon crosses the template
         return None
     warped = _sample_padded(level.search, uv).reshape(level.template.shape)
@@ -236,11 +238,11 @@ def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -
     the coefficients.
     """
     gx, gy = ev.grad_x, ev.grad_y
-    pts = level.points[ev.valid.ravel()]
-    gz = -(gx * pts[:, 0] + gy * pts[:, 1])
-    rows = np.concatenate([gx[:, None] * pts, gy[:, None] * pts, gz[:, None] * pts], axis=1)
+    pts = level.points[:, ev.valid.ravel()]
+    gz = -(gx * pts[0] + gy * pts[1])
+    rows = np.concatenate([gx * pts, gy * pts, gz * pts])
     tangents = _tangents(level.scale * b)[free] * level.scale[free, None, None]
-    return rows @ tangents.reshape(free.size, 9).T
+    return rows.T @ tangents.reshape(free.size, 9).T
 
 
 def _tangents(b: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ the projective scale so that ``det H = 1``; comparisons that should ignore
 scale go through ``projective_distance``.  Points are projected through a
 homography by ``apply_homography``, which owns the in-front rule: a point
 with homogeneous ``w <= 0`` lies behind the camera and maps to NaN.
+Internally it projects coordinate planes, ``(3, n)`` rows ``x, y, 1`` to
+``(2, n)`` rows ``x, y``, so each elementwise step runs over a long row.
 """
 
 from __future__ import annotations
@@ -276,14 +278,19 @@ def apply_homography(h, points) -> np.ndarray:
     """
     h = _as_matrix(h)
     p = np.asarray(points, dtype=float)
-    return _dehomogenize(np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.T)
+    if p.shape[-1:] != (2,):
+        raise ValueError(f"points must have shape (..., 2), got {p.shape}")
+    planes = np.vstack([p.reshape(-1, 2).T, np.ones(p.size // 2)])
+    return np.ascontiguousarray(_project(h, planes).T).reshape(p.shape)
 
 
-def _dehomogenize(q: np.ndarray) -> np.ndarray:
-    """``(x / w, y / w)`` of homogeneous points ``(..., 3)``; NaN where ``w <= 0``."""
+def _project(h: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """``(x / w, y / w)`` planes ``(2, n)`` of ``h @ planes`` for homogeneous
+    coordinate planes ``(3, n)``; NaN where ``w <= 0``."""
+    q = h @ planes
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = q[..., :2] / q[..., 2:3]
-    out[q[..., 2] <= 0.0] = np.nan
+        out = q[:2] / q[2]
+    out[:, q[2] <= 0.0] = np.nan
     return out
 
 

@@ -214,16 +214,18 @@ def generate_dataset(
     seed: int,
     out_dir,
     mask_radius: float = 0.0,
-    crop: int = 256,
+    crop: int | tuple[int, int] = 256,
     preset_name: str | None = None,
 ) -> dict:
     """Write ``count`` template/search pairs with JSON ground truth.
 
-    Layout: ``out_dir/pairs/NNNN_{t,s}.pgm``, ``out_dir/gt/NNNN.json`` and
+    ``crop`` is as for :func:`make_pair`.  Layout:
+    ``out_dir/pairs/NNNN_{t,s}.pgm``, ``out_dir/gt/NNNN.json`` and
     ``out_dir/manifest.json``.  Sources rotate through the sorted raster
     files of ``source_dir``; unreadable or too-small sources produce a
     manifest warning and skip the sample.  Bit-identical across reruns
-    with the same arguments.
+    with the same arguments.  Raises ``ValueError``, before writing, for
+    a negative ``count`` or ``mask_radius`` or a crop side below 1.
     """
     source_dir = Path(source_dir)
     out_dir = Path(out_dir)
@@ -233,8 +235,10 @@ def generate_dataset(
     )
     if not sources:
         raise ValueError(f"no raster sources (*.pgm, *.ppm, *.pnm) in {source_dir}")
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    if count < 0 or not mask_radius >= 0:
+        raise ValueError(f"count and mask radius must be non-negative, got {count}, {mask_radius}")
+    if min((crop, crop) if isinstance(crop, int) else crop) < 1:
+        raise ValueError(f"crop sides must be at least 1, got {crop}")
 
     (out_dir / "pairs").mkdir(parents=True, exist_ok=True)
     (out_dir / "gt").mkdir(parents=True, exist_ok=True)

@@ -200,14 +200,15 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
     channel count stays four.
     """
     coords = _sample_grid(kind, config)
+    n = config.n
     if kind is not WarpKind.ASPECT_RATIO:
-        return ImageGrid(bilinear_sample(image, coords))
+        return ImageGrid(bilinear_sample(image, coords.T).reshape(n, n, image.channels))
     plane = ImageGrid(image.pixels.mean(axis=2)) if image.channels > 1 else image
     # one gather per quadrant: a single gather of all four is bit-identical
     # but twice as slow (measured at n = 256), its 4n^2-point temporaries
     # no longer fit in cache
-    quadrants = [bilinear_sample(plane, quadrant)[..., 0] for quadrant in coords]
-    return ImageGrid(np.stack(quadrants, axis=-1))
+    quadrants = [bilinear_sample(plane, quadrant.T)[:, 0] for quadrant in coords]
+    return ImageGrid(np.stack(quadrants, axis=-1).reshape(n, n, 4))
 
 
 # A warp's sample grid depends on nothing but the warp, so it is computed
@@ -218,10 +219,12 @@ _GRID_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _sample_grid(kind: WarpKind, config: WarpConfig) -> np.ndarray:
-    """Source coordinates of every warped pixel, shape (n, n, 2); for the
-    aspect warp one such grid per reflected quadrant, shape (4, n, n, 2)."""
+    """Source coordinates of every warped pixel as ``(2, n * n)`` x, y
+    planes in row-major pixel order; for the aspect warp one such pair per
+    reflected quadrant, shape ``(4, 2, n * n)``."""
     coords = sample_coords(kind, config, warp_grid_mu(kind, config))
+    planes = np.ascontiguousarray(coords.reshape(-1, 2).T)
     if kind is WarpKind.ASPECT_RATIO:
-        coords = coords * _QUADRANT_SIGNS[:, None, None, :]
-    coords.setflags(write=False)
-    return coords
+        planes = _QUADRANT_SIGNS[:, :, None] * planes
+    planes.setflags(write=False)
+    return planes

@@ -148,6 +148,34 @@ class TestDatasetAndBenchmark:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["count_emitted"] == 0
 
+    @pytest.mark.parametrize("bad", [["--crop", "0"], ["--crop", "128", "0"],
+                                     ["--crop", "64", "64", "64"], ["--count", "-1"],
+                                     ["--mask-radius", "-2"], ["--mask-radius", "nan"]])
+    def test_gen_dataset_bad_arguments_are_usage_errors(self, source_dir, tmp_path, capsys, bad):
+        out = tmp_path / "data"
+        args = {"--count": "2", "--crop": "128", "--mask-radius": "0"}
+        args[bad[0]] = bad[1:]
+        argv = ["gen-dataset", "--source", str(source_dir), "--out", str(out)]
+        for flag, value in args.items():
+            argv += [flag, *([value] if isinstance(value, str) else value)]
+        assert cli(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_dataset_two_sided_crop(self, tmp_path, capsys):
+        src = tmp_path / "big_sources"
+        src.mkdir()
+        save_image(texture(832, seed=61), src / "tex.pgm")
+        out = tmp_path / "data"
+        assert cli(["gen-dataset", "--source", str(src), "--count", "2", "--seed", "4",
+                    "--crop", "128", "256", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["crop"] == [128, 256] and manifest["count_emitted"] == 2
+        for rec in manifest["samples"]:
+            assert load_image(out / rec["template"]).pixels.shape == (128, 128, 1)
+            assert load_image(out / rec["search"]).pixels.shape == (256, 256, 1)
+            assert json.loads((out / rec["gt"]).read_text())["crop"] == [128, 256]
+
     def test_end_to_end_determinism(self, source_dir, tmp_path, capsys):
         data = tmp_path / "data"
         args = ["gen-dataset", "--source", str(source_dir), "--preset", "middle",

@@ -36,6 +36,28 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             ImageGrid(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -1e-8, 1 + 1e-8])
+    def test_rejects_infinite_and_out_of_tolerance(self, bad):
+        # one min and one max decide: an infinity is always an extreme
+        px = np.full((3, 4), 0.5)
+        px[1, 2] = bad
+        with pytest.raises(ValueError):
+            ImageGrid(px)
+
+    def test_clips_within_tolerance_to_exact_bounds(self):
+        img = ImageGrid(np.array([[-1e-10, 0.25], [1 + 1e-10, 1.0]]))
+        assert img.pixels[0, 0, 0] == 0.0 and img.pixels[1, 0, 0] == 1.0
+        assert img.pixels[0, 1, 0] == 0.25
+
+    @pytest.mark.parametrize("values", [[0.0, 0.5], [-1e-10, 0.5], [0.5, 1 + 1e-10]])
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 1)])
+    def test_does_not_alias_or_freeze_the_callers_array(self, values, shape):
+        px = np.resize(np.array(values), shape)
+        img = ImageGrid(px)
+        assert px.flags.writeable and not np.shares_memory(img.pixels, px)
+        px[...] = 0.75
+        assert not np.any(img.pixels == 0.75)
+
     def test_immutable(self):
         img = ImageGrid(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -96,6 +118,18 @@ class TestBilinearSample:
         got = bilinear_sample(img, pts)
         want = np.stack([bilinear_reference(img.pixels, x, y) for x, y in pts])
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_transposed_plane_view_equals_contiguous_points(self, channels):
+        # internal callers pass the (n, 2) transpose of (2, n) planes
+        rng = np.random.default_rng(5)
+        img = ImageGrid(rng.random((11, 14, channels)))
+        planes = rng.uniform(-9, 9, size=(2, 501))
+        planes[:, ::37] = math.nan
+        planes[0, 1::41], planes[1, 2::43] = math.inf, -math.inf
+        got = bilinear_sample(img, planes.T)
+        want = bilinear_sample(img, np.ascontiguousarray(planes.T))
+        assert got.shape == (501, channels) and got.tobytes() == want.tobytes()
 
     @given(st.floats(-40, 40), st.floats(-40, 40))
     @settings(max_examples=100)
@@ -212,6 +246,17 @@ class TestRasterIO:
         np.testing.assert_array_equal(
             np.rint(loaded.pixels * maxval), np.rint(img.pixels * maxval)
         )
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_decode_equals_float_cast_then_divide(self, tmp_path, bit_depth, channels):
+        img = texture(23, seed=17, channels=channels)
+        path = tmp_path / "img.pnm"
+        save_image(img, path, bit_depth=bit_depth)
+        maxval = 2**bit_depth - 1
+        raw = np.rint(img.pixels * maxval).astype(">u2" if bit_depth == 16 else "u1")
+        want = raw.astype(float) / maxval
+        assert load_image(path).pixels.tobytes() == want.tobytes()
 
     def test_truncated_file(self, tmp_path):
         img = smooth_image(8, seed=14)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl3warp.sl3 import (
     SingularMatrixError,
+    _project,
     UnrepresentableError,
     apply_homography,
     aspect_matrix,
@@ -330,3 +331,27 @@ class TestApplyHomography:
         np.testing.assert_allclose(out[0], [1.0, 4.0])
         assert np.all(np.isnan(out[1:]))
         assert np.all(np.isnan(apply_homography(-np.eye(3), np.array([1.0, 2.0]))))
+
+    @pytest.mark.parametrize("n", [1, 3, 255, 256, 4097, 16_384, 65_536])
+    def test_planes_equal_row_points_bit_for_bit(self, n):
+        # (3, n) planes and (n, 3) rows are the same products and quotients:
+        # not one bit may differ, at non-finite points or behind the camera
+        rng = np.random.default_rng(n)
+        h = compose_homography(random_middle_b(rng))
+        h[2] = [1 / 64, -1 / 128, 1.0]  # the horizon crosses the points
+        pts = rng.normal(size=(n, 2)) * 100.0
+        special = [[-64.0, 0.0], [0.0, 128.0], [-200.0, 5.0],  # w = 0, 0, < 0
+                   [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 2.0], [0.0, np.inf]]
+        pts[: len(special)] = special[:n]
+        rows = np.concatenate([pts, np.ones((n, 1))], axis=1) @ h.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = rows[:, :2] / rows[:, 2:]
+        want[rows[:, 2] <= 0.0] = np.nan
+        planes = np.vstack([pts.T, np.ones(n)])
+        assert np.ascontiguousarray(_project(h, planes).T).tobytes() == want.tobytes()
+        assert apply_homography(h, pts).tobytes() == want.tobytes()
+        assert apply_homography(h, pts.reshape(1, n, 2)).shape == (1, n, 2)
+
+    def test_rejects_points_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            apply_homography(np.eye(3), np.zeros((4, 3)))

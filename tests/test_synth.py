@@ -244,6 +244,14 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(src, PRESETS["middle"], 1, 1, tmp_path / "out")
 
+    @pytest.mark.parametrize("kwargs", [{"mask_radius": -2.0}, {"mask_radius": math.nan},
+                                        {"crop": 0}, {"crop": (128, 0)}, {"crop": (0, 128)}])
+    def test_bad_mask_or_crop_rejected_before_writing(self, source_dir, tmp_path, kwargs):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            generate_dataset(source_dir, PRESETS["middle"], 2, 1, out, **kwargs)
+        assert not out.exists()
+
     def test_mask_radius_applied(self, source_dir, tmp_path):
         out = tmp_path / "masked"
         generate_dataset(source_dir, PRESETS["middle"], 1, 3, out, mask_radius=20, crop=128)

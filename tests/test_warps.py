@@ -238,7 +238,8 @@ class TestWarpImage:
         want = sample_coords(kind, cfg, warp_grid_mu(kind, cfg))
         if kind is WarpKind.ASPECT_RATIO:
             want = np.stack([want * signs for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
-        np.testing.assert_array_equal(grid, want)
+        # cached as (2, n * n) coordinate planes, one pair per quadrant
+        np.testing.assert_array_equal(np.swapaxes(grid, -1, -2).reshape(want.shape), want)
         with pytest.raises(ValueError):
             grid[..., 0] = 0.0
 
