@@ -56,21 +56,17 @@ def phase_correlate(
     h, w = a.height, a.width
     win = _window2d(h, w, window_power, circular_vertical)
 
-    # real input: the other half of the spectrum mirrors this one, and the
-    # explicit (h, w) lets irfft2 restore an odd width
-    spectrum = np.zeros((h, w // 2 + 1), dtype=complex)
-    for ch in range(a.channels):
-        fa = np.fft.rfft2(a.pixels[:, :, ch] * win)
-        fb = np.fft.rfft2(b.pixels[:, :, ch] * win)
-        cross = np.conj(fa) * fb
-        mag = np.abs(cross)
-        floor = mag.max() * 1e-15
-        if floor == 0.0:
-            continue
-        np.divide(cross, mag, out=cross, where=mag > floor)
-        cross[mag <= floor] = 0.0
+    spectra = (
+        _phase_spectrum(a.pixels[:, :, ch] * win, b.pixels[:, :, ch] * win)
+        for ch in range(a.channels)
+    )
+    spectrum = next(spectra)
+    for cross in spectra:
         spectrum += cross
-    surface = np.fft.irfft2(spectrum, s=(h, w)) / max(a.channels, 1)
+    # the explicit (h, w) lets irfft2 restore an odd width
+    surface = np.fft.irfft2(spectrum, s=(h, w))
+    if a.channels > 1:
+        surface /= a.channels
 
     total = np.abs(surface).sum()
     if total == 0.0:
@@ -92,6 +88,23 @@ def phase_correlate(
         dx += _parabolic_offset(surface[iy, (ix - 1) % w], peak, surface[iy, (ix + 1) % w])
         dy += _parabolic_offset(surface[(iy - 1) % h, ix], peak, surface[(iy + 1) % h, ix])
     return np.array([dx, dy]), confidence
+
+
+def _phase_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The phase-only cross spectrum of two windowed planes, as the
+    ``rfft2`` half spectrum: real input mirrors the other half.
+
+    Bins whose cross power is at most ``1e-15`` of the largest are zero,
+    so two all-zero planes give an all-zero spectrum.
+    """
+    cross = np.fft.rfft2(a)
+    np.conjugate(cross, out=cross)
+    cross *= np.fft.rfft2(b)
+    mag = np.abs(cross)
+    weak = mag <= mag.max() * 1e-15
+    np.divide(cross, mag, out=cross, where=~weak)
+    cross[weak] = 0.0
+    return cross
 
 
 # Neighborhood (pixels) searched around the band-limited consensus peak:

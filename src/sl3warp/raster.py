@@ -11,6 +11,13 @@ Internally points travel as coordinate planes, one row per coordinate:
 ``(3, n)`` homogeneous ``x, y, 1`` to project, ``(2, n)`` ``x, y`` to
 sample, whose transpose is the ``(n, 2)`` that ``bilinear_sample`` takes.
 
+Every resampler in the package runs one bilinear kernel in two steps.
+``_plan`` turns ``(2, n)`` points and a raster size into each point's flat
+neighbor index and its four weights; ``_gather`` blends the channel planes
+of a padded raster (``_pad_planes``) with a plan.  The plan depends only on
+the points and the raster size, so a fixed point set can keep its plan and
+pay for the gather alone (see :func:`sl3warp.warps.warp_image`).
+
 Files are Netpbm binary rasters (P5 grayscale / P6 RGB) at 8 or 16 bits,
 which round-trip losslessly.  Parameter sidecars are JSON and handled by
 the dataset layer.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,20 +65,16 @@ class ImageGrid:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=float)
-        if p.ndim == 2:
-            p = p[:, :, None]
-        if p.ndim != 3 or p.shape[0] < 1 or p.shape[1] < 1 or p.shape[2] < 1:
-            raise ValueError(f"pixels must be (h, w[, c]) with h, w >= 1, got {p.shape}")
-        # NaN propagates into the minimum and an infinity is an extreme
-        lo, hi = p.min(), p.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("pixel values must be finite")
-        if lo < -1e-9 or hi > 1 + 1e-9:
-            raise ValueError("pixel values must lie in [0, 1]")
-        p = np.clip(p, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "pixels", p)
+        object.__setattr__(self, "pixels", _frozen(self.pixels, copy=True))
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> "ImageGrid":
+        """An image that takes over ``pixels``, a C-contiguous float array
+        its caller has just allocated and keeps no reference to: validated
+        and frozen like any other, but not copied."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", _frozen(pixels, copy=False))
+        return image
 
     @property
     def height(self) -> int:
@@ -83,6 +87,27 @@ class ImageGrid:
     @property
     def channels(self) -> int:
         return self.pixels.shape[2]
+
+
+def _frozen(pixels, copy: bool) -> np.ndarray:
+    """``pixels`` checked, as a read-only ``(h, w, c)`` float array clipped
+    to exactly [0, 1]; copied first when ``copy``, so the checks and the
+    clip run on the contiguous copy, else checked and clipped in place."""
+    p = np.array(pixels, dtype=float) if copy else np.asarray(pixels, dtype=float)
+    if p.ndim == 2:
+        p = p[:, :, None]
+    if p.ndim != 3 or p.shape[0] < 1 or p.shape[1] < 1 or p.shape[2] < 1:
+        raise ValueError(f"pixels must be (h, w[, c]) with h, w >= 1, got {p.shape}")
+    # NaN propagates into the minimum and an infinity is an extreme
+    lo, hi = p.min(), p.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("pixel values must be finite")
+    if lo < -1e-9 or hi > 1 + 1e-9:
+        raise ValueError("pixel values must lie in [0, 1]")
+    if lo < 0.0 or hi > 1.0:
+        np.clip(p, 0.0, 1.0, out=p)
+    p.setflags(write=False)
+    return p
 
 
 def pixel_grid(image: ImageGrid) -> np.ndarray:
@@ -113,7 +138,8 @@ def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     zero to the blend.
     """
     p = np.asarray(points, dtype=float)
-    planes = _sample_padded(_pad_planes(image.pixels, 0.0), p.reshape(-1, 2).T)
+    plan = _plan(p.reshape(-1, 2).T, image.height, image.width)
+    planes = _gather(_pad_planes(image.pixels, 0.0), plan)
     return np.ascontiguousarray(planes.T).reshape(p.shape[:-1] + (image.channels,))
 
 
@@ -128,38 +154,77 @@ def _pad_planes(pixels: np.ndarray, pad: float) -> np.ndarray:
     return planes
 
 
-def _sample_padded(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The bilinear lookup of :func:`bilinear_sample` on padded planes.
+class _Plan(NamedTuple):
+    """A bilinear plan: see :func:`_plan`."""
 
-    ``pts`` is ``(2, n)`` planes; the result is ``(c, n)``, one row per channel.
-    Indices and weights are computed once; each channel is then gathered
-    from its own contiguous plane and accumulated in place.  An out-of-box
-    or non-finite point lands on the padding's corner, so it reads the pad
-    value with weight one.
+    base: np.ndarray  # (n,) flat index of each top-left neighbor
+    weights: np.ndarray  # (4, n): top-left, top-right, bottom-left, bottom-right
+    padded: tuple[int, int]  # (h + 2, w + 2), the planes it indexes
+
+
+def _plan(pts: np.ndarray, h: int, w: int, block: np.ndarray | None = None) -> _Plan:
+    """Where and how much each point reads from padded ``h x w`` planes.
+
+    ``pts`` is ``(2, n)`` x, y planes.  The plan holds the flat index of
+    each point's top-left neighbor in a ``(h + 2, w + 2)`` padded plane and
+    the ``(4, n)`` weights of its four neighbors.  An out-of-box or
+    non-finite point lands on the padding's corner, so it reads the pad
+    value with weight one.  The plan depends only on the points and the
+    raster size, so a fixed point set can keep it.  ``block``, a
+    C-contiguous ``(5, n)`` float array, receives the plan in place of a
+    new one: the index as ``int64`` in its first row, the weights below.
     """
-    c, h, w = planes.shape[0], planes.shape[1] - 2, planes.shape[2] - 2
     x, y = pts
-    inside = (np.abs(x) <= w / 2.0) & (np.abs(y) <= h / 2.0)
-    col = np.where(inside, x + (w - 1) / 2.0, -1.0)
-    row = np.where(inside, y + (h - 1) / 2.0, -1.0)
+    outside = ~((np.abs(x) <= w / 2.0) & (np.abs(y) <= h / 2.0))
+    col = x + (w - 1) / 2.0
+    row = y + (h - 1) / 2.0
+    np.copyto(col, -1.0, where=outside)
+    np.copyto(row, -1.0, where=outside)
     c0 = np.floor(col)
     r0 = np.floor(row)
-    fc = col - c0
-    fr = row - r0
+    fc = np.subtract(col, c0, out=col)
+    fr = np.subtract(row, r0, out=row)
+    gc = 1 - fc
+    gr = 1 - fr
+    # (r0 + 1) * (w + 2) + (c0 + 1) in place: whole numbers far below 2**53,
+    # so the float index is exact
+    r0 += 1
+    r0 *= w + 2
+    c0 += 1
+    r0 += c0
+    if block is None:
+        block = np.empty((5, r0.size))
+    base = block[0].view(np.int64)
+    np.copyto(base, r0, casting="unsafe")
+    weights = block[1:]
+    for out, (a, b) in zip(weights, ((gr, gc), (gr, fc), (fr, gc), (fr, fc))):
+        np.multiply(a, b, out=out)
+    return _Plan(base, weights, (h + 2, w + 2))
 
-    stride = w + 2
-    base = (r0.astype(np.int64) + 1) * stride + (c0.astype(np.int64) + 1)
-    terms = (
-        (0, (1 - fr) * (1 - fc)),
-        (1, (1 - fr) * fc),
-        (stride, fr * (1 - fc)),
-        (stride + 1, fr * fc),
-    )
-    out = np.zeros((c, pts.shape[1]))
-    neighbor = np.empty(pts.shape[1])
+
+def _gather(planes: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The bilinear blend of padded ``(c, h + 2, w + 2)`` planes at a
+    :func:`_plan` of ``h x w``; the result is ``(c, n)``, one row per channel.
+
+    Each channel is gathered from its own contiguous plane.  The first
+    neighbor's term is written straight into the output and the other three
+    are added to it in neighbor order, the order of the bilinear sum.
+    Raises ``ValueError`` when the planes are not the size the plan was
+    made for.
+    """
+    base, weights, padded = plan
+    if planes.shape[1:] != padded:
+        raise ValueError(f"plan for padded {padded} planes, got {planes.shape[1:]}")
+    c, stride = planes.shape[0], planes.shape[2]
+    out = np.empty((c, base.size))
+    neighbor = np.empty(base.size)
+    # every index is in range for planes of the checked size; "clip" spares
+    # the buffered copy that take makes of ``out`` under the default "raise"
     for flat, acc in zip(planes.reshape(c, -1), out):
-        for offset, wgt in terms:
-            np.take(flat[offset:], base, out=neighbor)
+        np.take(flat, base, out=acc, mode="clip")
+        acc *= weights[0]
+        for offset, wgt in zip((1, stride, stride + 1), weights[1:]):
+            np.take(flat[offset:], base, out=neighbor, mode="clip")
             neighbor *= wgt
             acc += neighbor
     return out
@@ -190,14 +255,14 @@ def _warp_crop(image: ImageGrid, h_inv: np.ndarray, width: int, height: int) -> 
     _crop_origin(image, width, height)
     src = _project(h_inv, _centered_grid(width, height))
     sampled = bilinear_sample(image, src.T)
-    return ImageGrid(sampled.reshape(height, width, image.channels))
+    return ImageGrid._adopt(sampled.reshape(height, width, image.channels))
 
 
 def center_crop(image: ImageGrid, size: int | tuple[int, int]) -> ImageGrid:
     """Centered crop; offsets must be integral so the origin is preserved."""
     cw, ch = (size, size) if isinstance(size, int) else (int(size[0]), int(size[1]))
     x0, y0 = _crop_origin(image, cw, ch)
-    return ImageGrid(image.pixels[y0 : y0 + ch, x0 : x0 + cw].copy())
+    return ImageGrid(image.pixels[y0 : y0 + ch, x0 : x0 + cw])
 
 
 def _crop_origin(image: ImageGrid, cw: int, ch: int) -> tuple[int, int]:
@@ -255,7 +320,7 @@ def load_image(path) -> ImageGrid:
             f"truncated raster: expected {nbytes} data bytes", len(data)
         )
     raw = np.frombuffer(data[pos : pos + nbytes], dtype=dtype)
-    return ImageGrid(np.divide(raw.reshape(height, width, channels), maxval, dtype=float))
+    return ImageGrid._adopt(np.divide(raw.reshape(height, width, channels), maxval, dtype=float))
 
 
 def save_image(image: ImageGrid, path, bit_depth: int = 8) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import ImageGrid, _centered_grid, _pad_planes, _sample_padded
+from .raster import ImageGrid, _centered_grid, _gather, _pad_planes, _plan
 from .sl3 import FACTOR_COEFFS, _project, compose_homography, factor_matrices, generators
 
 __all__ = ["refine", "residual_jacobian"]
@@ -83,7 +83,7 @@ class _Evaluation:
     residual: np.ndarray  # over ``valid`` pixels, like the ESM gradients
     grad_x: np.ndarray
     grad_y: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray  # flat indices of the valid pixels, ascending
 
 
 def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
@@ -143,9 +143,11 @@ def residual_jacobian(
     free = np.array(free, dtype=int)
     level = _level(_plane(template), _plane(search), np.zeros(2), 0)
     ev = _evaluate(level, np.asarray(b, dtype=float))
+    valid = np.zeros(template.pixels.shape[:2], bool)
     if ev is None:
-        return np.zeros(0), np.zeros(template.pixels.shape[:2], bool), np.zeros((0, free.size))
-    return ev.residual, ev.valid, _jacobian(level, np.asarray(b, dtype=float), ev, free)
+        return np.zeros(0), valid, np.zeros((0, free.size))
+    valid.flat[ev.valid] = True
+    return ev.residual, valid, _jacobian(level, np.asarray(b, dtype=float), ev, free)
 
 
 def _plane(image: ImageGrid) -> np.ndarray:
@@ -200,10 +202,14 @@ def _level(template, search, offset, k: int) -> _Level:
 def _gradient(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central differences along x and y; NaN on the border, which has no
     neighbor to difference against, and wherever a neighbor is NaN."""
-    gx = np.full_like(plane, np.nan)
-    gy = np.full_like(plane, np.nan)
-    gx[:, 1:-1] = 0.5 * (plane[:, 2:] - plane[:, :-2])
-    gy[1:-1] = 0.5 * (plane[2:] - plane[:-2])
+    gx = np.empty_like(plane)
+    gy = np.empty_like(plane)
+    inner_x, inner_y = gx[:, 1:-1], gy[1:-1]
+    np.subtract(plane[:, 2:], plane[:, :-2], out=inner_x)
+    np.subtract(plane[2:], plane[:-2], out=inner_y)
+    inner_x *= 0.5
+    inner_y *= 0.5
+    gx[:, 0] = gx[:, -1] = gy[0] = gy[-1] = np.nan
     return gx, gy
 
 
@@ -216,17 +222,21 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
     uv = _project(h, level.points) - level.offset
     if not np.all(np.isfinite(uv)):  # the horizon crosses the template
         return None
-    warped = _sample_padded(level.search, uv).reshape(level.template.shape)
-    wx, wy = _gradient(warped)
-    gx = 0.5 * (level.grad_x + wx)
-    gy = 0.5 * (level.grad_y + wy)
-    residual = warped - level.template
-    valid = np.isfinite(residual + gx + gy)
-    count = int(np.count_nonzero(valid))
-    if count < _MIN_VALID:
+    # the search may differ in size from the template (``residual_jacobian``)
+    plan = _plan(uv, level.search.shape[1] - 2, level.search.shape[2] - 2)
+    warped = _gather(level.search, plan).reshape(level.template.shape)
+    gx, gy = _gradient(warped)
+    gx += level.grad_x
+    gx *= 0.5
+    gy += level.grad_y
+    gy *= 0.5
+    residual = np.subtract(warped, level.template, out=warped)
+    valid = np.flatnonzero(np.isfinite(residual + gx + gy))
+    if valid.size < _MIN_VALID:
         return None
-    residual = residual[valid]
-    return _Evaluation(float(residual @ residual) / count, residual, gx[valid], gy[valid], valid)
+    residual = residual.take(valid)
+    return _Evaluation(float(residual @ residual) / valid.size, residual,
+                       gx.take(valid), gy.take(valid), valid)
 
 
 def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -> np.ndarray:
@@ -238,7 +248,7 @@ def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -
     the coefficients.
     """
     gx, gy = ev.grad_x, ev.grad_y
-    pts = level.points[:, ev.valid.ravel()]
+    pts = level.points.take(ev.valid, axis=1)
     gz = -(gx * pts[0] + gy * pts[1])
     rows = np.concatenate([gx * pts, gy * pts, gz * pts])
     tangents = _tangents(level.scale * b)[free] * level.scale[free, None, None]

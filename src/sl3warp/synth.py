@@ -179,7 +179,7 @@ def mask_corners(image: ImageGrid, radius: float) -> ImageGrid:
         near |= (rows - cr) ** 2 + (cols - cc) ** 2 < radius**2
     pixels = image.pixels.copy()
     pixels[near] = 0.0
-    return ImageGrid(pixels)
+    return ImageGrid._adopt(pixels)
 
 
 def texture(size: int, seed, channels: int = 1, exponent: float = 1.8) -> ImageGrid:

@@ -14,7 +14,13 @@ subgroup becomes a plain translation of the warped raster:
 
 ``sample_coords`` maps warped-grid coordinates to source coordinates;
 ``warp_image`` samples the source at a grid that depends only on the warp,
-so it is computed once per ``(kind, config)`` and kept read-only.
+so it is computed once per ``(kind, config)`` and kept read-only.  The
+bilinear plan of that grid (:func:`sl3warp.raster._plan`: neighbor index
+and weights) depends on the warp and the image size, so the four
+single-grid warps keep one per ``(kind, config, height, width)`` and each
+call pays for the gather alone.  The aspect warp samples four reflected
+grids through ``bilinear_sample`` instead: four cached plans would hold
+four times the memory, and ``estimate`` never runs that warp.
 Each warp's pseudo-translation is linear in its own coefficients, and one
 ``(2, k)`` matrix per warp states that law: ``predicted_shift`` applies it
 and ``recover_coeffs`` is its least-squares inverse.  For an ``n``-sized
@@ -27,11 +33,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import ImageGrid, bilinear_sample
+from .raster import ImageGrid, _Plan, _gather, _pad_planes, _plan, bilinear_sample
 from .sl3 import FACTOR_COEFFS
 
 __all__ = [
@@ -199,21 +206,32 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
     multi-channel inputs are averaged to a single plane first so the
     channel count stays four.
     """
-    coords = _sample_grid(kind, config)
     n = config.n
     if kind is not WarpKind.ASPECT_RATIO:
-        return ImageGrid(bilinear_sample(image, coords.T).reshape(n, n, image.channels))
-    plane = ImageGrid(image.pixels.mean(axis=2)) if image.channels > 1 else image
+        plan = _sample_plan(kind, config, image.height, image.width)
+        planes = _gather(_pad_planes(image.pixels, 0.0), plan)
+        return ImageGrid._adopt(np.ascontiguousarray(planes.T).reshape(n, n, image.channels))
+    coords = _sample_grid(kind, config)
+    plane = ImageGrid._adopt(image.pixels.mean(axis=2)) if image.channels > 1 else image
     # one gather per quadrant: a single gather of all four is bit-identical
     # but twice as slow (measured at n = 256), its 4n^2-point temporaries
     # no longer fit in cache
     quadrants = [bilinear_sample(plane, quadrant.T)[:, 0] for quadrant in coords]
-    return ImageGrid(np.stack(quadrants, axis=-1).reshape(n, n, 4))
+    return ImageGrid._adopt(np.stack(quadrants, axis=-1).reshape(n, n, 4))
 
 
-# A warp's sample grid depends on nothing but the warp, so it is computed
-# once per (kind, config) and kept read-only.  Callers use one or two warp
-# sizes; the bound only limits what an unusual caller can pile up.
+# A warp's sample grid depends on nothing but the warp, and its bilinear
+# plan on the warp and the image size, so both are computed once and kept
+# read-only: at n = 256 a grid holds 1 MB and a plan (one index and four
+# weights per pixel) 2.5 MB.  A plan lives in its own anonymous mapping,
+# outside the malloc heap: a long-lived chunk there splits the heap's free
+# space, and the estimate benchmark's peak RSS then rose by one or two more
+# 832^2 source rasters (5-10 MB) on some seeds and environment sizes, where
+# in a mapping it costs its own bytes on all.  Callers use one or two warp
+# and image sizes; the bound only limits what an unusual caller can pile up.
+# The aspect warp keeps no plan (see the module docstring) and samples
+# through ``bilinear_sample``, the name the benchmark's traced run wraps in
+# ``warps``.
 _GRID_CACHE_SIZE = 8
 
 
@@ -228,3 +246,15 @@ def _sample_grid(kind: WarpKind, config: WarpConfig) -> np.ndarray:
         planes = _QUADRANT_SIGNS[:, :, None] * planes
     planes.setflags(write=False)
     return planes
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _sample_plan(kind: WarpKind, config: WarpConfig, height: int, width: int) -> _Plan:
+    """The read-only bilinear plan (see :func:`~sl3warp.raster._plan`) of a
+    single-grid warp's sample grid in a ``height x width`` image."""
+    grid = _sample_grid(kind, config)
+    block = np.frombuffer(mmap.mmap(-1, 5 * grid.shape[1] * 8)).reshape(5, -1)
+    plan = _plan(grid, height, width, block)
+    plan.base.setflags(write=False)
+    plan.weights.setflags(write=False)
+    return plan

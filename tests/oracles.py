@@ -106,6 +106,31 @@ def bilinear_reference(pixels, x, y):
     return out
 
 
+def padded_bilinear_reference(pixels, x, y, pad):
+    """Scalar bilinear lookup that reads ``pad`` off the lattice.
+
+    Out of the ``[-w/2, w/2] x [-h/2, h/2]`` box, or at a non-finite point,
+    the result is ``pad`` itself.  Inside it every one of the four terms is
+    added, a zero weight included, so a NaN pad or a NaN pixel next to the
+    point makes the sample NaN.
+    """
+    h, w = pixels.shape[:2]
+    if not (math.isfinite(x) and math.isfinite(y)) or abs(x) > w / 2 or abs(y) > h / 2:
+        return np.full(pixels.shape[2], pad)
+    col = x + (w - 1) / 2.0
+    row = y + (h - 1) / 2.0
+    c0, r0 = math.floor(col), math.floor(row)
+    fc, fr = col - c0, row - r0
+    out = None
+    for dr, wr in ((0, 1.0 - fr), (1, fr)):
+        for dc, wc in ((0, 1.0 - fc), (1, fc)):
+            rr, cc = r0 + dr, c0 + dc
+            inside = 0 <= rr < h and 0 <= cc < w
+            term = wr * wc * (pixels[rr, cc] if inside else np.full(pixels.shape[2], pad))
+            out = term if out is None else out + term
+    return out
+
+
 def refine_valid_reference(template, search, h):
     """Pixels the photometric refinement counts, decided one at a time.
 

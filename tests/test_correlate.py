@@ -57,6 +57,15 @@ class TestPhaseCorrelate:
         np.testing.assert_array_equal(mu, [0.0, 0.0])
         assert conf == 0.0
 
+    @pytest.mark.parametrize("band_limit", [None, 0.02])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_no_cross_power_gives_zero(self, channels, band_limit):
+        # all-zero against all-zero or against content: no bin survives
+        z = ImageGrid(np.zeros((16, 16, channels)))
+        for other in (z, smooth_image(16, seed=2, channels=channels)):
+            mu, conf = phase_correlate(z, other, band_limit=band_limit)
+            assert mu.tolist() == [0.0, 0.0] and conf == 0.0
+
     def test_multichannel_average(self):
         img = smooth_image(64, seed=4, channels=3)
         mu, conf = phase_correlate(img, rolled(img, 4, 2), window_power=0.0, subpixel=False)

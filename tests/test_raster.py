@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl3warp import raster
 from sl3warp.raster import (
     ImageGrid,
     RasterFormatError,
@@ -19,7 +20,7 @@ from sl3warp.sl3 import SingularMatrixError, compose_homography, translation_mat
 from sl3warp.synth import texture
 
 from conftest import smooth_image
-from oracles import bilinear_reference
+from oracles import bilinear_reference, padded_bilinear_reference
 
 
 class TestImageGrid:
@@ -57,6 +58,31 @@ class TestImageGrid:
         assert px.flags.writeable and not np.shares_memory(img.pixels, px)
         px[...] = 0.75
         assert not np.any(img.pixels == 0.75)
+
+    def test_adopt_freezes_without_copying(self):
+        px = np.full((3, 4, 2), 0.25)
+        img = ImageGrid._adopt(px)
+        assert np.shares_memory(img.pixels, px) and not img.pixels.flags.writeable
+
+    def test_adopt_validates_like_the_constructor(self):
+        with pytest.raises(ValueError):
+            ImageGrid._adopt(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError):
+            ImageGrid._adopt(np.full((2, 2), 1.5))
+        img = ImageGrid._adopt(np.array([[-1e-10, 0.25], [1 + 1e-10, 1.0]]))
+        assert img.pixels[:, :, 0].tolist() == [[0.0, 0.25], [1.0, 1.0]]
+
+    def test_package_results_are_frozen_and_own_their_pixels(self, tmp_path):
+        img = smooth_image(16, seed=3)
+        save_image(img, tmp_path / "a.pgm")
+        results = [
+            load_image(tmp_path / "a.pgm"),
+            center_crop(img, 8),
+            warp_by_homography(img, translation_matrix(1.5, -0.5)),
+        ]
+        for out in results:
+            assert not out.pixels.flags.writeable
+            assert not np.shares_memory(out.pixels, img.pixels)
 
     def test_immutable(self):
         img = ImageGrid(np.zeros((2, 2)))
@@ -130,6 +156,45 @@ class TestBilinearSample:
         got = bilinear_sample(img, planes.T)
         want = bilinear_sample(img, np.ascontiguousarray(planes.T))
         assert got.shape == (501, channels) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(15, 16, 1), (8, 5, 3)])
+    def test_gather_on_nan_padded_planes_equals_scalar_reference(self, shape):
+        # refinement's layout: NaN pad and NaN (missing) pixels inside
+        h, w, _ = shape
+        rng = np.random.default_rng(6)
+        pixels = rng.random(shape)
+        pixels[rng.random(shape[:2]) < 0.1] = math.nan
+        nan, inf = math.nan, math.inf
+        pts = np.concatenate([
+            rng.uniform([-w / 2 - 2, -h / 2 - 2], [w / 2 + 2, h / 2 + 2], size=(300, 2)),
+            [[w / 2, h / 2], [-w / 2, -h / 2], [w / 2, 0.0], [0.0, -h / 2], [1e12, -1e12]],
+            [[nan, nan], [inf, -inf], [nan, 0.0], [0.0, inf], [-inf, nan]],
+            rng.integers(-1, max(w, h) + 1, size=(50, 2)) - [(w - 1) / 2, (h - 1) / 2],
+        ])
+        planes = raster._pad_planes(pixels, math.nan)
+        got = raster._gather(planes, raster._plan(np.ascontiguousarray(pts.T), h, w))
+        want = np.stack([padded_bilinear_reference(pixels, x, y, math.nan) for x, y in pts])
+        np.testing.assert_array_equal(got.T, want)
+        assert np.isnan(got[:, 300:310]).all()  # box corners and beyond read the pad
+
+    def test_plan_into_a_given_block_equals_a_new_plan(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-6, 6, size=(2, 40))
+        pts[:, ::7] = math.nan
+        block = np.full((5, 40), -1.0)
+        into = raster._plan(pts.copy(), 9, 10, block)
+        new = raster._plan(pts.copy(), 9, 10)
+        assert np.shares_memory(into.base, block) and np.shares_memory(into.weights, block)
+        assert into.base.tobytes() == new.base.tobytes()
+        assert into.weights.tobytes() == new.weights.tobytes() and into.padded == new.padded
+
+    def test_gather_rejects_planes_of_another_size(self):
+        pts = np.zeros((2, 3))
+        planes = raster._pad_planes(np.zeros((6, 8, 1)), 0.0)
+        assert raster._gather(planes, raster._plan(pts.copy(), 6, 8)).shape == (1, 3)
+        for h, w in ((8, 6), (6, 9), (5, 8)):
+            with pytest.raises(ValueError, match="plan for padded"):
+                raster._gather(planes, raster._plan(pts.copy(), h, w))
 
     @given(st.floats(-40, 40), st.floats(-40, 40))
     @settings(max_examples=100)

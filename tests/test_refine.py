@@ -103,6 +103,26 @@ class TestResidualJacobian:
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
         np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_search_of_another_size(self, swap):
+        # a tracking-style pair, and the same pair with the roles swapped so
+        # the search is the smaller raster: lookups index the search's own
+        # lattice, and the valid rule holds at the search's own box
+        sample = make_pair(smooth_image(256, seed=21, exponent=4.0), B_JACOBIAN, (48, 96))
+        template, search = sample.template, sample.search
+        if swap:
+            template, search = search, template
+        r, valid, jac = residual_jacobian(template, search, B_JACOBIAN, range(8))
+        want = refine_valid_reference(
+            template.pixels[:, :, 0], search.pixels[:, :, 0], compose_homography(B_JACOBIAN)
+        )
+        assert want.sum() > 1000 and jac.shape == (want.sum(), 8)
+        np.testing.assert_array_equal(valid, want)
+        pts = pixel_grid(template).reshape(-1, 2)
+        q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
+        warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
+        np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
+
     def test_tangents_equal_one_solve_per_coefficient(self):
         # the batched solve over the stacked tails against the plain loop
         rng = np.random.default_rng(9)

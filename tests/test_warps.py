@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl3warp import warps
-from sl3warp.raster import ImageGrid, warp_by_homography
+from sl3warp.raster import ImageGrid, bilinear_sample, warp_by_homography
 from sl3warp.sl3 import compose_homography
 from sl3warp.warps import (
     COEFF_INDICES,
@@ -21,6 +21,7 @@ from sl3warp.warps import (
 from conftest import smooth_image
 
 ALL_KINDS = list(WarpKind)
+PLANNED_KINDS = [k for k in WarpKind if k is not WarpKind.ASPECT_RATIO]
 
 # In-range coefficient magnitudes per informed index (middle-range presets).
 COEFF_BOUNDS = {2: 0.6, 3: math.log(1.3), 4: 0.2, 5: 0.15, 6: 1e-4, 7: 1e-4}
@@ -249,3 +250,22 @@ class TestWarpImage:
         before = warp_image(img, kind, WarpConfig(n=128)).pixels.tobytes()
         assert warp_image(img, kind, WarpConfig(n=256)).pixels.shape[:2] == (256, 256)
         assert warp_image(img, kind, WarpConfig(n=128)).pixels.tobytes() == before
+
+    @pytest.mark.parametrize("kind", PLANNED_KINDS)
+    @pytest.mark.parametrize("size, channels", [(64, 1), (64, 3), (90, 1), (90, 3)])
+    def test_cached_plan_equals_bilinear_sample_bit_for_bit(self, kind, size, channels):
+        # one warp size, two image sizes: the plan is keyed on both
+        cfg = WarpConfig(n=64)
+        img = smooth_image(size, seed=11, channels=channels)
+        want = bilinear_sample(img, warps._sample_grid(kind, cfg).T).reshape(64, 64, channels)
+        assert warp_image(img, kind, cfg).pixels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", PLANNED_KINDS)
+    def test_cached_plan_is_reused_and_read_only(self, kind):
+        cfg = WarpConfig(n=64)
+        plan = warps._sample_plan(kind, cfg, 64, 64)
+        assert warps._sample_plan(kind, cfg, 64, 64) is plan
+        assert warps._sample_plan(kind, cfg, 90, 90) is not plan
+        for array in (plan.base, plan.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0
