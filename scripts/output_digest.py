@@ -12,8 +12,10 @@ and the warp configuration the CLI builds for 256-pixel inputs.  Families:
   the estimated coefficients, all eight free, and at the true coefficients
   on a ``(128, 256)`` pair of every other case, both ways round;
 * ``phase_correlate``: ``mu`` and the confidence of two-channel (plain and
-  masked) template against search and of the template's and the search's
-  four-channel aspect warps, each plain and band-limited;
+  masked) template against search, plain and band-limited;
+* ``phase_correlate.aspect``: the same of the template's and the search's
+  four-channel aspect warps, kept apart so that a change to the warp does
+  not hide whether the correlator kept every bit;
 * ``warp_image.<kind>``: every template and search, one channel and the
   three-channel stack (template, search, masked template);
 * ``warp_by_homography``: each search through the true inverse and each
@@ -82,8 +84,9 @@ def _dataset_bytes(seed, sources):
 
 
 def digests(seeds) -> dict[str, str]:
-    families = ["estimate", "residual_jacobian", "phase_correlate", "warp_by_homography",
-                "make_pair", "generate_dataset"] + [f"warp_image.{k.value}" for k in warps.WarpKind]
+    families = ["estimate", "residual_jacobian", "phase_correlate", "phase_correlate.aspect",
+                "warp_by_homography", "make_pair", "generate_dataset"] + [
+                    f"warp_image.{k.value}" for k in warps.WarpKind]
     hashes = {name: hashlib.sha256() for name in families}
     sources = [synth.texture(SOURCE_SIZE, seed=700 + i) for i in range(8)]
     perturb = np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 2e-3, -2e-3])
@@ -116,16 +119,17 @@ def digests(seeds) -> dict[str, str]:
                     warps.warp_image(image, kind, CONFIG.warp).pixels
                     for image in (template, search, stack))))
             aspect = warps.WarpKind.ASPECT_RATIO
-            correlated = [
-                [raster.ImageGrid(np.concatenate(
+            correlated = {
+                "phase_correlate": [raster.ImageGrid(np.concatenate(
                     [image.pixels, synth.mask_corners(image, MASK_RADIUS).pixels], axis=2))
-                 for image in (template, search)],
-                [warps.warp_image(image, aspect, CONFIG.warp) for image in (template, search)],
-            ]
-            for a, b in correlated:
+                    for image in (template, search)],
+                "phase_correlate.aspect": [warps.warp_image(image, aspect, CONFIG.warp)
+                                           for image in (template, search)],
+            }
+            for family, (a, b) in correlated.items():
                 for band_limit in (None, 0.05):
                     mu, conf = correlate.phase_correlate(a, b, band_limit=band_limit)
-                    hashes["phase_correlate"].update(_bytes(mu, np.float64(conf)))
+                    hashes[family].update(_bytes(mu, np.float64(conf)))
         hashes["generate_dataset"].update(_dataset_bytes(seed, sources))
     return {name: h.hexdigest() for name, h in hashes.items()}
 

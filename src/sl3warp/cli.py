@@ -177,6 +177,9 @@ def _cmd_sensitivity(args) -> int:
     nuisance = args.nuisance - 1 if args.nuisance is not None else DEFAULT_NUISANCE[kind]
     if not 0 <= nuisance <= 7:
         raise _UsageError("nuisance coefficient index must be in 1..8")
+    if nuisance in COEFF_INDICES[kind]:
+        raise _UsageError(f"--nuisance must name a coefficient outside the {kind.value} warp's"
+                          " subgroup")
     if args.points < 1:
         raise _UsageError("--points must be at least 1")
     if args.probe_size < 2:

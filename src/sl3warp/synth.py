@@ -167,7 +167,7 @@ def mask_corners(image: ImageGrid, radius: float) -> ImageGrid:
     Distances are measured on the pixel lattice with a strict inequality,
     so ``radius = 0`` leaves the image untouched.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be non-negative")
     if radius == 0:
         return image

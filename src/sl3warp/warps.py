@@ -5,22 +5,21 @@ subgroup becomes a plain translation of the warped raster:
 
 * scale+rotation  -> log-polar axes (radius is exponential in the column,
   angle is linear in the row, which is circular),
-* aspect stretch  -> per-axis log sampling over the four reflected
-  quadrants, stacked as four channels,
+* aspect stretch  -> per-axis log sampling of the positive quadrant, read
+  over the source and its three mirror images as four channels,
 * shear           -> rows stretched in proportion to their distance from
   the center line,
 * perspective x/y -> reciprocal sampling along one axis, offset away from
   the pole by ``phi = n/4``, which also rescales the other axis.
 
 ``sample_coords`` maps warped-grid coordinates to source coordinates;
-``warp_image`` samples the source at a grid that depends only on the warp,
-so it is computed once per ``(kind, config)`` and kept read-only.  The
-bilinear plan of that grid (:func:`sl3warp.raster._plan`: neighbor index
-and weights) depends on the warp and the image size, so the four
-single-grid warps keep one per ``(kind, config, height, width)`` and each
-call pays for the gather alone.  The aspect warp samples four reflected
-grids through ``bilinear_sample`` instead: four cached plans would hold
-four times the memory, and ``estimate`` never runs that warp.
+``warp_image`` samples the source at a grid that depends only on the warp.
+The bilinear plan of that grid (:func:`sl3warp.raster._plan`: neighbor
+index and weights) depends on the warp and the image size, so every warp
+keeps one per ``(kind, config, height, width)`` and each call pays for the
+gather alone.  Mirroring is exact on the center-origin pixel lattice, so
+the aspect warp reads the mirror images at the one positive-quadrant plan
+instead of planning each reflected grid.
 Each warp's pseudo-translation is linear in its own coefficients, and one
 ``(2, k)`` matrix per warp states that law: ``predicted_shift`` applies it
 and ``recover_coeffs`` is its least-squares inverse.  For an ``n``-sized
@@ -38,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import ImageGrid, _Plan, _gather, _pad_planes, _plan, bilinear_sample
+# bilinear_sample is not called here; the traced benchmark wraps it by this
+# module's name (perfbench/workloads.py), so the name must resolve.
+from .raster import ImageGrid, _Plan, _gather, _pad_planes, _plan, bilinear_sample  # noqa: F401
 from .sl3 import FACTOR_COEFFS
 
 __all__ = [
@@ -64,9 +65,6 @@ class WarpKind(enum.Enum):
 # Coefficient positions (0-based into b) each warp informs: one warp per
 # factor after the translation, declared in factor order.
 COEFF_INDICES = dict(zip(WarpKind, FACTOR_COEFFS[1:]))
-
-# Quadrant reflection signs for the aspect-ratio warp, channel order fixed.
-_QUADRANT_SIGNS = np.array(((1, 1), (-1, 1), (1, -1), (-1, -1)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -202,56 +200,47 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
     """Resample an image onto the warp's grid by bilinear interpolation.
 
     Sources outside the image are zero.  The aspect-ratio warp emits four
-    channels, one per quadrant reflected into the positive quadrant;
-    multi-channel inputs are averaged to a single plane first so the
-    channel count stays four.
+    channels, the positive-quadrant grid read over the source plane and its
+    mirror images, in the order of the quadrants they reflect: (+x, +y),
+    (-x, +y), (+x, -y), (-x, -y).  Multi-channel inputs are averaged to a
+    single plane first so the channel count stays four.
     """
-    n = config.n
-    if kind is not WarpKind.ASPECT_RATIO:
-        plan = _sample_plan(kind, config, image.height, image.width)
-        planes = _gather(_pad_planes(image.pixels, 0.0), plan)
-        return ImageGrid._adopt(np.ascontiguousarray(planes.T).reshape(n, n, image.channels))
-    coords = _sample_grid(kind, config)
-    plane = ImageGrid._adopt(image.pixels.mean(axis=2)) if image.channels > 1 else image
-    # one gather per quadrant: a single gather of all four is bit-identical
-    # but twice as slow (measured at n = 256), its 4n^2-point temporaries
-    # no longer fit in cache
-    quadrants = [bilinear_sample(plane, quadrant.T)[:, 0] for quadrant in coords]
-    return ImageGrid._adopt(np.stack(quadrants, axis=-1).reshape(n, n, 4))
+    planes = _pad_planes(image.pixels, 0.0)
+    if kind is WarpKind.ASPECT_RATIO:
+        # column c <-> w - 1 - c is x <-> -x on the center-origin lattice, and
+        # the one-pixel pad is symmetric, so a padded plane's mirror is the
+        # padded mirror image
+        p = planes.mean(axis=0)
+        planes = np.stack([p, p[:, ::-1], p[::-1], p[::-1, ::-1]])
+    plan = _sample_plan(kind, config, image.height, image.width)
+    out = _gather(planes, plan)
+    return ImageGrid._adopt(
+        np.ascontiguousarray(out.T).reshape(config.n, config.n, out.shape[0]))
 
 
-# A warp's sample grid depends on nothing but the warp, and its bilinear
-# plan on the warp and the image size, so both are computed once and kept
-# read-only: at n = 256 a grid holds 1 MB and a plan (one index and four
-# weights per pixel) 2.5 MB.  A plan lives in its own anonymous mapping,
+# A warp's bilinear plan depends on the warp and the image size, so it is
+# computed once and kept read-only: at n = 256 a plan (one index and four
+# weights per pixel) holds 2.5 MB, the aspect warp's too, and only callers
+# of a warp pay for its plans.  A plan lives in its own anonymous mapping,
 # outside the malloc heap: a long-lived chunk there splits the heap's free
 # space, and the estimate benchmark's peak RSS then rose by one or two more
 # 832^2 source rasters (5-10 MB) on some seeds and environment sizes, where
 # in a mapping it costs its own bytes on all.  Callers use one or two warp
 # and image sizes; the bound only limits what an unusual caller can pile up.
-# The aspect warp keeps no plan (see the module docstring) and samples
-# through ``bilinear_sample``, the name the benchmark's traced run wraps in
-# ``warps``.
-_GRID_CACHE_SIZE = 8
+_PLAN_CACHE_SIZE = 8
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _sample_grid(kind: WarpKind, config: WarpConfig) -> np.ndarray:
     """Source coordinates of every warped pixel as ``(2, n * n)`` x, y
-    planes in row-major pixel order; for the aspect warp one such pair per
-    reflected quadrant, shape ``(4, 2, n * n)``."""
+    planes in row-major pixel order."""
     coords = sample_coords(kind, config, warp_grid_mu(kind, config))
-    planes = np.ascontiguousarray(coords.reshape(-1, 2).T)
-    if kind is WarpKind.ASPECT_RATIO:
-        planes = _QUADRANT_SIGNS[:, :, None] * planes
-    planes.setflags(write=False)
-    return planes
+    return np.ascontiguousarray(coords.reshape(-1, 2).T)
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _sample_plan(kind: WarpKind, config: WarpConfig, height: int, width: int) -> _Plan:
     """The read-only bilinear plan (see :func:`~sl3warp.raster._plan`) of a
-    single-grid warp's sample grid in a ``height x width`` image."""
+    warp's sample grid in a ``height x width`` image."""
     grid = _sample_grid(kind, config)
     block = np.frombuffer(mmap.mmap(-1, 5 * grid.shape[1] * 8)).reshape(5, -1)
     plan = _plan(grid, height, width, block)

@@ -266,3 +266,14 @@ class TestSensitivityCommand:
         assert cli(argv) == 1
         assert f"{option} must be at least" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, nuisance", [("scale-rot", "3"), ("scale-rot", "4"),
+                                                ("aspect", "5"), ("shear", "6"),
+                                                ("persp1", "7"), ("persp2", "8")])
+    def test_nuisance_inside_own_subgroup_is_usage_error(self, tmp_path, capsys, kind,
+                                                         nuisance):
+        out = tmp_path / "sens.csv"
+        assert cli(["sensitivity", "--kind", kind, "--nuisance", nuisance, "--out", str(out),
+                    "--points", "3", "--probe-size", "64"]) == 1
+        assert "outside the" in capsys.readouterr().err
+        assert not out.exists()

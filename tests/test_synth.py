@@ -171,6 +171,10 @@ class TestMaskCorners:
         with pytest.raises(ValueError):
             mask_corners(texture(32, seed=8), -1)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            mask_corners(texture(32, seed=8), math.nan)
+
 
 class TestTexture:
     @pytest.mark.parametrize("size", [-2, 0, 1])

@@ -21,7 +21,7 @@ from sl3warp.warps import (
 from conftest import smooth_image
 
 ALL_KINDS = list(WarpKind)
-PLANNED_KINDS = [k for k in WarpKind if k is not WarpKind.ASPECT_RATIO]
+ASPECT = WarpKind.ASPECT_RATIO
 
 # In-range coefficient magnitudes per informed index (middle-range presets).
 COEFF_BOUNDS = {2: 0.6, 3: math.log(1.3), 4: 0.2, 5: 0.15, 6: 1e-4, 7: 1e-4}
@@ -235,14 +235,9 @@ class TestWarpImage:
     def test_cached_grid_is_the_warp_grid_and_read_only(self, kind):
         cfg = WarpConfig(n=64)
         grid = warps._sample_grid(kind, cfg)
-        assert warps._sample_grid(kind, cfg) is grid
         want = sample_coords(kind, cfg, warp_grid_mu(kind, cfg))
-        if kind is WarpKind.ASPECT_RATIO:
-            want = np.stack([want * signs for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
-        # cached as (2, n * n) coordinate planes, one pair per quadrant
-        np.testing.assert_array_equal(np.swapaxes(grid, -1, -2).reshape(want.shape), want)
-        with pytest.raises(ValueError):
-            grid[..., 0] = 0.0
+        # (2, n * n) coordinate planes; the aspect warp's is the positive quadrant
+        np.testing.assert_array_equal(grid.T.reshape(want.shape), want)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_other_warp_size_leaves_output_unchanged(self, kind):
@@ -251,16 +246,21 @@ class TestWarpImage:
         assert warp_image(img, kind, WarpConfig(n=256)).pixels.shape[:2] == (256, 256)
         assert warp_image(img, kind, WarpConfig(n=128)).pixels.tobytes() == before
 
-    @pytest.mark.parametrize("kind", PLANNED_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("size, channels", [(64, 1), (64, 3), (90, 1), (90, 3)])
     def test_cached_plan_equals_bilinear_sample_bit_for_bit(self, kind, size, channels):
         # one warp size, two image sizes: the plan is keyed on both
         cfg = WarpConfig(n=64)
         img = smooth_image(size, seed=11, channels=channels)
-        want = bilinear_sample(img, warps._sample_grid(kind, cfg).T).reshape(64, 64, channels)
+        source = img
+        if kind is ASPECT:  # the averaged plane and its mirror images
+            p = img.pixels.mean(axis=2)
+            source = ImageGrid(np.stack([p, p[:, ::-1], p[::-1], p[::-1, ::-1]], axis=-1))
+        want = bilinear_sample(source, warps._sample_grid(kind, cfg).T)
+        want = want.reshape(64, 64, source.channels)
         assert warp_image(img, kind, cfg).pixels.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kind", PLANNED_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_cached_plan_is_reused_and_read_only(self, kind):
         cfg = WarpConfig(n=64)
         plan = warps._sample_plan(kind, cfg, 64, 64)
@@ -269,3 +269,30 @@ class TestWarpImage:
         for array in (plan.base, plan.weights):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    @pytest.mark.parametrize("size", [64, 90, 255])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_aspect_equals_per_quadrant_reference(self, size, channels, n):
+        # the reference samples the averaged plane at each quadrant's
+        # sign-flipped grid, in channel order; only the rounding order of
+        # the blend differs
+        cfg = WarpConfig(n=n)
+        img = smooth_image(size, seed=12, channels=channels)
+        plane = ImageGrid(img.pixels.mean(axis=2))
+        coords = sample_coords(ASPECT, cfg, warp_grid_mu(ASPECT, cfg))
+        want = np.stack([bilinear_sample(plane, coords * signs)[..., 0]
+                         for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1))], axis=-1)
+        got = warp_image(img, ASPECT, cfg).pixels
+        assert got.shape == (n, n, 4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-15)
+
+    @pytest.mark.parametrize("size", [64, 90])
+    def test_aspect_channel_k_is_warp_of_kth_mirror_image(self, size):
+        # pins the reflection and the channel order byte for byte
+        cfg = WarpConfig(n=64)
+        p = smooth_image(size, seed=13).pixels
+        got = warp_image(ImageGrid(p), ASPECT, cfg).pixels
+        for k, mirror in enumerate((p, p[:, ::-1], p[::-1], p[::-1, ::-1])):
+            want = warp_image(ImageGrid(mirror), ASPECT, cfg).pixels[..., 0]
+            assert got[..., k].tobytes() == want.tobytes()
