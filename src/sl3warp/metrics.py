@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sl3 import _as_matrix
+from .sl3 import _as_matrix, _project
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -37,33 +37,24 @@ def template_corners(width: float, height: float) -> np.ndarray:
     return np.array([[-hw, -hh], [hw, -hh], [-hw, hh], [hw, hh]])
 
 
-def _map_corner(h: np.ndarray, corner: np.ndarray) -> tuple[float, float] | None:
-    q = h @ np.array([corner[0], corner[1], 1.0])
-    if q[2] < 1e-12 * max(abs(q[0]), abs(q[1]), 1.0):  # on or behind the horizon
-        return None
-    return q[0] / q[2], q[1] / q[2]
-
-
 def alignment_error(h_pred, h_true, corners) -> float:
     """Mean four-corner displacement between two homographies, in pixels.
 
-    A corner sent to or behind the line at infinity by either map yields ``inf``:
-    the estimate is unusable at that corner and the caller is expected to
-    count such samples separately.
+    A corner that either map sends onto or behind the line at infinity
+    (homogeneous ``w <= 0``, the in-front rule of ``sl3.apply_homography``)
+    yields ``inf``: the estimate is unusable at that corner and the caller
+    is expected to count such samples separately.
     """
     h_pred = _as_matrix(h_pred)
     h_true = _as_matrix(h_true)
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 2):
         raise ValueError(f"corners must have shape (4, 2), got {corners.shape}")
-    total = 0.0
-    for corner in corners:
-        p = _map_corner(h_pred, corner)
-        t = _map_corner(h_true, corner)
-        if p is None or t is None:
-            return math.inf
-        total += math.hypot(p[0] - t[0], p[1] - t[1])
-    return total / 4.0
+    planes = np.vstack([corners.T, np.ones(4)])
+    p, t = _project(h_pred, planes), _project(h_true, planes)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
+        return math.inf
+    return sum(math.hypot(dx, dy) for dx, dy in (p - t).T) / 4.0
 
 
 def mace(samples, corners) -> float:

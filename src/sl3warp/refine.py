@@ -217,7 +217,7 @@ def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
     """Cost of ``b`` at one level, or None when ``H(b)`` is unusable there."""
     try:
         h = compose_homography(level.scale * b)
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
     uv = _project(h, level.points) - level.offset
     if not np.all(np.isfinite(uv)):  # the horizon crosses the template
@@ -281,7 +281,7 @@ def _solve_level(
     for _ in range(_MAX_ITERATIONS):
         try:
             jac = _jacobian(level, b, ev, free)
-        except (ValueError, OverflowError):  # no tangent at an extreme b
+        except ValueError:  # no tangent at an extreme b
             break
         normal = jac.T @ jac
         grad = jac.T @ ev.residual

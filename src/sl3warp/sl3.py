@@ -14,6 +14,13 @@ homography by ``apply_homography``, which owns the in-front rule: a point
 with homogeneous ``w <= 0`` lies behind the camera and maps to NaN.
 Internally it projects coordinate planes, ``(3, n)`` rows ``x, y, 1`` to
 ``(2, n)`` rows ``x, y``, so each elementwise step runs over a long row.
+
+Coefficients outside the group fail one way: for every finite ``b``,
+``params_from_coeffs``, ``factor_matrices`` and ``compose_homography``
+return finite values or raise ``ValueError`` (``SingularMatrixError`` where
+the product is numerically singular), with no ``OverflowError`` and no
+numpy warning.  The exponential is a Taylor series with scaling and
+squaring (Moler & Van Loan, SIAM Review 2003, method 3).
 """
 
 from __future__ import annotations
@@ -99,13 +106,21 @@ def _as_matrix(h) -> np.ndarray:
     return h
 
 
+# Largest |b4|, |b5|: gamma, k1 and 1 / k1 stay finite normal floats.
+_MAX_LOG = 708.0
+
+
 def params_from_coeffs(b) -> np.ndarray:
     """Map coefficients to the parameter vector ``[t1, t2, theta, gamma, k1, k2, v1, v2]``.
 
     ``gamma = exp(b4)`` and ``k1 = exp(b5)``; the remaining entries pass
-    through unchanged.
+    through unchanged.  Raises ``ValueError`` when ``|b4|`` or ``|b5|``
+    exceeds 708, past which gamma, k1 or the aspect factor's ``1 / k1``
+    would overflow or underflow.
     """
     b = _as_coeffs(b)
+    if abs(b[3]) > _MAX_LOG or abs(b[4]) > _MAX_LOG:
+        raise ValueError(f"b4 and b5 must lie within +-{_MAX_LOG:g}, got {b[3]:g} and {b[4]:g}")
     x = b.copy()
     x[3] = math.exp(b[3])
     x[4] = math.exp(b[4])
@@ -175,9 +190,12 @@ def compose_homography(b) -> np.ndarray:
     """Build the homography as the ordered product of the six subgroup factors.
 
     The factors of :func:`factor_matrices` are multiplied left to right and
-    the result is normalized to ``det = 1``.
+    the result is normalized to ``det = 1``.  A product that overflows is
+    reported by the normalization's checks as ``ValueError``.
     """
-    return normalize_homography(functools.reduce(np.matmul, factor_matrices(b)))
+    factors = factor_matrices(b)
+    with np.errstate(all="ignore"):
+        return normalize_homography(functools.reduce(np.matmul, factors))
 
 
 def decompose_homography(h) -> np.ndarray:
@@ -221,10 +239,13 @@ def decompose_homography(h) -> np.ndarray:
 def exp_sl3(b) -> np.ndarray:
     """Matrix exponential of the algebra element ``sum_i b_i A_i``.
 
-    Scaling-and-squaring with a degree-13 rational approximant, accurate to
-    better than 1e-12 relative error over the working coefficient range
-    (``max |b_i| <= 5``).  The raw exponential is returned without
-    projective renormalization.
+    Taylor series with scaling and squaring: the element is halved until
+    its 1-norm is at most 2, summed over 30 terms in Horner form and squared
+    back, to about 3e-15 relative error over the working coefficient range
+    (``max |b_i| <= 5``).  On a nilpotent element (translation or
+    perspective alone) the series ends by itself and the squarings are
+    exact, so the result is exactly ``I + m``.  The raw exponential is
+    returned without projective renormalization.
     """
     b = _as_coeffs(b)
     m = np.tensordot(b, _GENERATORS, axes=1)
@@ -251,12 +272,18 @@ def _nonsingular(h) -> tuple[np.ndarray, float, float]:
     """``h`` as a matrix with its determinant and Frobenius norm.
 
     Raises :class:`SingularMatrixError` when the determinant is negligible
-    against the norm.
+    against the norm, and ``ValueError`` when it overflows.
     """
     h = _as_matrix(h)
     d = float(np.linalg.det(h))
     scale = float(np.linalg.norm(h))
-    if scale == 0.0 or abs(d) < (1e-9 * scale) ** 3:
+    if not math.isfinite(d):
+        raise ValueError("matrix determinant is not finite")
+    try:
+        negligible = abs(d) < (1e-9 * scale) ** 3
+    except OverflowError:  # a bound past the float range exceeds every finite d
+        negligible = True
+    if scale == 0.0 or negligible:
         raise SingularMatrixError("matrix is singular or nearly singular")
     return h, d, scale
 
@@ -288,44 +315,19 @@ def _project(h: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """``(x / w, y / w)`` planes ``(2, n)`` of ``h @ planes`` for homogeneous
     coordinate planes ``(3, n)``; NaN where ``w <= 0``."""
     q = h @ planes
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         out = q[:2] / q[2]
     out[:, q[2] <= 0.0] = np.nan
     return out
 
 
-# Degree-13 diagonal Padé coefficients and its scaling threshold.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def _expm3(m: np.ndarray) -> np.ndarray:
-    # Translation-only and perspective-only elements square to zero; their
-    # exponential is exactly I + m, with no approximant noise.
-    if not (m @ m).any():
-        return np.eye(3) + m
-    norm = float(np.max(np.abs(m).sum(axis=0)))
-    s = 0 if norm <= _THETA13 else int(math.ceil(math.log2(norm / _THETA13)))
-    a = m / (2.0 ** s)
-    ident = np.eye(3)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    b = _PADE13
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
+    a, squarings = m, 0
+    while float(np.max(np.abs(a).sum(axis=0))) > 2.0:
+        a, squarings = a / 2.0, squarings + 1
+    r = ident = np.eye(3)
+    for k in range(30, 0, -1):  # Horner: I + a (I + a/2 (I + ... a/30))
+        r = ident + a @ r / k
+    for _ in range(squarings):
         r = r @ r
     return r

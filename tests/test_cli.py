@@ -55,6 +55,11 @@ class TestComposeDecompose:
         h = [-1, 0, 0, 0, 1, 0, 0, 0, 1]
         assert cli(["decompose", "--h"] + [str(v) for v in h]) == 2
 
+    def test_compose_out_of_range_is_data_error(self, capsys):
+        assert cli(["compose", "--b", "0", "0", "0", "800", "0", "0", "0", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: b4 and b5") and err.count("\n") == 1
+
     def test_wrong_arity_usage_error(self, capsys):
         assert cli(["compose", "--b", "1", "2"]) == 1
 
@@ -265,6 +270,14 @@ class TestSensitivityCommand:
             argv += [name, v]
         assert cli(argv) == 1
         assert f"{option} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nuisance", ["0", "9"])
+    def test_nuisance_out_of_range_is_usage_error(self, tmp_path, capsys, nuisance):
+        out = tmp_path / "sens.csv"
+        assert cli(["sensitivity", "--kind", "shear", "--nuisance", nuisance, "--out", str(out),
+                    "--points", "3", "--probe-size", "64"]) == 1
+        assert "must be in 1..8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, nuisance", [("scale-rot", "3"), ("scale-rot", "4"),

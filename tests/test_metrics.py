@@ -60,6 +60,18 @@ class TestAlignmentError:
         assert alignment_error(h, np.eye(3), CORNERS) == math.inf
         assert alignment_error(np.eye(3), h, CORNERS) == math.inf
 
+    def test_corner_just_in_front_is_finite(self):
+        # w = 2**-33 at the two left corners, below 1e-12 times their |x|
+        # of 128 but positive: in front of the camera, so projected like
+        # every other point, however far out it lands
+        h = np.array([[1.0, 0, 0], [0, 1, 0], [2.0**-7 - 2.0**-40, 0, 1]])
+        w = (np.c_[CORNERS, np.ones(4)] @ h.T)[:, 2]
+        assert w.min() == 2.0**-33 < 1e-12 * 128
+        want = np.mean([math.hypot(*np.subtract(map_corner(h, c), c)) for c in CORNERS])
+        err = alignment_error(h, np.eye(3), CORNERS)
+        assert math.isfinite(err) and err > 1e11
+        assert err == pytest.approx(want, rel=1e-12)
+
     def test_bad_corners_shape(self):
         with pytest.raises(ValueError):
             alignment_error(np.eye(3), np.eye(3), np.zeros((3, 2)))
@@ -84,6 +96,10 @@ class TestMace:
             (inf_h, np.eye(3)),
         ]
         assert mace(pairs, CORNERS) == pytest.approx(2.0, rel=1e-12)
+
+    def test_all_infinite_is_inf(self):
+        inf_h = np.array([[1.0, 0, 0], [0, 1, 0], [1 / 128.0, 0, 1]])
+        assert mace([(inf_h, np.eye(3))] * 2, CORNERS) == math.inf
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

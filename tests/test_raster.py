@@ -344,12 +344,29 @@ class TestRasterIO:
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
 
+    @pytest.mark.parametrize("data, message, offset", [
+        (b"P5\n2 2", "unexpected end of header", 6),
+        (b"P5\n2 x2\n255\n" + bytes(4), "expected integer header field", 5),
+        (b"P5\n0 2\n255\n", "non-positive image dimensions", 2),
+    ])
+    def test_bad_header(self, tmp_path, data, message, offset):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(RasterFormatError, match=message) as err:
+            load_image(path)
+        assert err.value.offset == offset
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x10\x20")
         img = load_image(path)
         assert img.pixels.shape == (1, 2, 1)
         assert img.pixels[0, 0, 0] == pytest.approx(0x10 / 255)
+
+    def test_unsupported_save_bit_depth(self, tmp_path):
+        with pytest.raises(UnsupportedFormatError, match="bit depth 12"):
+            save_image(smooth_image(8, seed=14), tmp_path / "x.pgm", bit_depth=12)
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_two_channel_save_rejected(self, tmp_path):
         img = ImageGrid(np.zeros((2, 2, 2)))

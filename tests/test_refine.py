@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,14 @@ class TestResidualJacobian:
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
         np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
 
+    def test_unusable_b_gives_empty_arrays(self, pair):
+        template, search = pair
+        b = np.zeros(8)
+        b[4] = 800.0  # the aspect factor overflows
+        r, valid, jac = residual_jacobian(template, search, b, (0, 1, 4))
+        assert r.shape == (0,) and jac.shape == (0, 3)
+        assert valid.shape == (64, 64) and not valid.any()
+
     def test_tangents_equal_one_solve_per_coefficient(self):
         # the batched solve over the stacked tails against the plain loop
         rng = np.random.default_rng(9)
@@ -229,6 +238,34 @@ class TestRefine:
         np.testing.assert_allclose(b[:2], b_true[:2], atol=1e-6)
         np.testing.assert_array_equal(b[2:], capture[2:])
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="identical dimensions"):
+            refine(smooth_image(64, seed=23), smooth_image(32, seed=23), np.zeros(8), range(8))
+
+    def test_failing_jacobian_keeps_the_start(self, monkeypatch):
+        def no_tangent(b):
+            raise ValueError("no tangent")
+
+        monkeypatch.setattr(refine_module, "_tangents", no_tangent)
+        img = smooth_image(64, seed=23)
+        b_init = np.array([0.5, -0.5, 0.01, 0, 0, 0, 0, 0])
+        b = refine(img, warp_by_homography(img, compose_homography(b_init)), b_init, range(8))
+        np.testing.assert_array_equal(b, b_init)
+
+    def test_singular_damped_step_is_rejected(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def singular_step(a, rhs):  # the tangents' batched solves still run
+            if np.ndim(rhs) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_step)
+        img = smooth_image(64, seed=23)
+        b_init = np.array([0.5, -0.5, 0.01, 0, 0, 0, 0, 0])
+        b = refine(img, warp_by_homography(img, compose_homography(b_init)), b_init, range(8))
+        np.testing.assert_array_equal(b, b_init)
+
     def test_start_beyond_horizon_does_not_raise(self):
         img = smooth_image(64, seed=23)
         b_init = np.zeros(8)
@@ -244,6 +281,18 @@ class TestEstimateWithRefinement:
         img = ImageGrid(np.full((64, 64), value))
         result = estimate(img, img, EstimatorConfig(warp=WarpConfig(n=64)))
         np.testing.assert_array_equal(result.b_hat, np.zeros(8))
+
+    def test_flat_pair_of_two_levels_warns_nothing(self):
+        # a 49-wide, 69-high all-ones template against a constant 0.5 search:
+        # refinement tries steps whose aspect factor leaves the float range
+        template = ImageGrid(np.ones((69, 49)))
+        search = ImageGrid(np.full((69, 49), 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(template, search)
+        want = [1.0363565802158798e-16, 0.0, -0.26179938779914935, 2.9313017869719774e-17,
+                0.0, 0.0, 0.0, 0.0]
+        assert result.b_hat.tolist() == want
 
     def test_no_stages_is_identity(self):
         img = smooth_image(64, seed=24)

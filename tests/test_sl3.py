@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sl3warp.sl3 import (
     compose_homography,
     decompose_homography,
     exp_sl3,
+    factor_matrices,
     generators,
     normalize_homography,
     params_from_coeffs,
@@ -102,6 +104,13 @@ class TestExpSl3:
             expected = np.eye(3) + sum(b[i] * gens[i] for i in idx_set)
             np.testing.assert_array_equal(exp_sl3(b), expected)
 
+    @pytest.mark.parametrize("index, value", [(0, 300.0), (1, -170.0), (6, 40.0), (7, -7.5)])
+    def test_nilpotent_exact_through_squarings(self, index, value):
+        # large enough to be halved before the series and squared back after
+        b = np.zeros(8)
+        b[index] = value
+        np.testing.assert_array_equal(exp_sl3(b), np.eye(3) + value * generators()[index])
+
     def test_series_oracle_frozen_value(self):
         # Frozen from the exact-rational series oracle (60 terms).
         b = np.array([0.1, -0.2, 0.3, 0.05, -0.1, 0.02, 1e-3, -2e-3])
@@ -166,6 +175,43 @@ class TestParamsMap:
     def test_round_trip(self, b):
         x = params_from_coeffs(b)
         np.testing.assert_allclose(coeffs_from_params(x), b, rtol=1e-12, atol=1e-12)
+
+
+# Every coefficient at values far outside any working range.
+EXTREME_B = [(i, v) for i in range(8) for v in (1e300, -1e300, 1e120, -1e120, 1e15, -1e15,
+                                              800.0, -800.0, 720.0, -720.0)]
+
+
+class TestOutOfRangeCoefficients:
+    @pytest.mark.parametrize("index, value", EXTREME_B)
+    def test_finite_or_value_error(self, index, value):
+        # one failure mode: no OverflowError and no numpy warning
+        b = np.zeros(8)
+        b[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (params_from_coeffs, factor_matrices):
+                try:
+                    out = fn(b)
+                except ValueError:
+                    continue
+                assert np.all(np.isfinite(np.asarray(out)))
+            try:
+                h = compose_homography(b)
+            except ValueError:
+                return
+        assert np.all(np.isfinite(h))
+        assert np.linalg.det(h) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("index", [3, 4])
+    @pytest.mark.parametrize("value", [709.0, -709.0])
+    def test_log_coefficients_limited(self, index, value):
+        b = np.zeros(8)
+        b[index] = value
+        with pytest.raises(ValueError, match="b4 and b5"):
+            params_from_coeffs(b)
+        b[index] = math.copysign(708.0, value)
+        assert np.all(np.isfinite(np.concatenate(factor_matrices(b))))
 
 
 class TestCompose:
