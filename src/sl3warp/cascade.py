@@ -6,11 +6,16 @@ perspective directions, and turns each one into a pseudo-translation with
 its own warp (:func:`estimate_stage`).  ``estimate`` captures only the
 first two by correlation: the translation peak, then, with the search
 image rectified through that estimate, the log-polar scale-rotation peak.
-The captures only propose.  The photometric Levenberg-Marquardt of
-:mod:`sl3warp.refine` solves every enabled coefficient from three starts,
-the capture estimate, the plain windowed translation peak and the
-identity, and keeps the one its cost prefers; the later warps' one-pass
-estimates were measured not to improve on it.
+Like the refinement, which reads nothing finer than
+``refine._FINEST_SIDE``, the captures run on a capture level: the pair
+box-reduced 2x2 until its larger side is at most that size, with the
+warp reduced by the same factor.  The captures only propose.  The
+photometric Levenberg-Marquardt of :mod:`sl3warp.refine`, given the
+full-size pair, solves every enabled coefficient from three starts, the
+capture estimate, the plain peak (the integer argmax of the translation
+capture's raw correlation surface) and the identity, and keeps the one
+its cost prefers; the later warps' one-pass estimates were measured not
+to improve on it.
 
 Estimation is deterministic and pure: the same inputs and config produce
 bit-identical results.
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import phase_correlate
+from .correlate import _correlate, phase_correlate
 from .raster import ImageGrid, warp_by_homography
-from .refine import refine
+from .refine import _FINEST_SIDE, _reduce, refine
 from .sl3 import FACTOR_COEFFS, compose_homography
 from .warps import WarpConfig, WarpKind, recover_coeffs, warp_image
 
@@ -66,8 +71,11 @@ class EstimatorConfig:
     """Estimator settings: warp geometry and enabled stages.
 
     ``stages``, the free factors, must be a subset of the canonical order,
-    in that order; stages left out keep their coefficients at zero.  With
-    no ``warp``, each warp is the largest even one that fits the template.
+    in that order; stages left out keep their coefficients at zero.
+    ``warp`` is the warp of the full-size template; with none, it is the
+    largest even one that fits the template.  ``estimate`` captures on a
+    pair reduced by a factor ``f`` and warps it with ``n // f``, rounded
+    down to even and at least 32.
     """
 
     warp: WarpConfig | None = None
@@ -96,6 +104,9 @@ class EstimationResult:
     ``confidence`` (their minimum, 0.0 when none ran) describe the captures,
     not the refinement start that won: when refinement keeps the plain
     translation peak or the identity, ``b_hat`` can disagree with them.
+    Each ``stage_peaks[].mu`` is in the pixels of the capture level's
+    image or warp, which ``estimate`` reduces 2x2 until its larger side is
+    at most 128: half the full-size pixels for a 256-pixel pair.
     """
 
     b_hat: np.ndarray
@@ -148,31 +159,62 @@ def estimate_stage(
     formula.  ``search`` must already be rectified by all previous stages.
     """
     if stage is Stage.TRANSLATION:
-        mu, conf = phase_correlate(
-            template,
-            search,
-            window_power=_TRANSLATION_WINDOW_POWER,
-            band_limit=_TRANSLATION_BAND_LIMIT,
-        )
-        update = np.zeros(8)
-        update[0], update[1] = mu[0], mu[1]
-    else:
-        kind = WarpKind(stage.value)
-        warp = config.warp or WarpConfig.for_width(template.width)
-        wt = warp_image(template, kind, warp)
-        ws = warp_image(search, kind, warp)
-        if kind is WarpKind.ASPECT_RATIO:
-            span = warp.n // 2 + _ASPECT_CONTENT_MARGIN
-            wt = ImageGrid(wt.pixels[:span, :span, :])
-            ws = ImageGrid(ws.pixels[:span, :span, :])
-        mu, conf = phase_correlate(
-            wt,
-            ws,
-            circular_vertical=kind is WarpKind.SCALE_ROTATION,
-            band_limit=_WARP_BAND_LIMIT,
-        )
-        update = recover_coeffs(kind, warp, mu)
+        update, peak, _ = _capture_translation(template, search)
+        return update, peak
+    kind = WarpKind(stage.value)
+    warp = config.warp or WarpConfig.for_width(template.width)
+    wt = warp_image(template, kind, warp)
+    ws = warp_image(search, kind, warp)
+    if kind is WarpKind.ASPECT_RATIO:
+        span = warp.n // 2 + _ASPECT_CONTENT_MARGIN
+        wt = ImageGrid(wt.pixels[:span, :span, :])
+        ws = ImageGrid(ws.pixels[:span, :span, :])
+    mu, conf = phase_correlate(
+        wt,
+        ws,
+        circular_vertical=kind is WarpKind.SCALE_ROTATION,
+        band_limit=_WARP_BAND_LIMIT,
+    )
+    update = recover_coeffs(kind, warp, mu)
     return update, StagePeak(stage=stage, mu=(float(mu[0]), float(mu[1])), confidence=conf)
+
+
+def _capture_translation(
+    template: ImageGrid, search: ImageGrid
+) -> tuple[np.ndarray, StagePeak, np.ndarray]:
+    """The translation stage's update and peak, plus the plain peak of the
+    same correlation as a second update."""
+    mu, conf, plain = _correlate(
+        template,
+        search,
+        window_power=_TRANSLATION_WINDOW_POWER,
+        circular_vertical=False,
+        subpixel=True,
+        band_limit=_TRANSLATION_BAND_LIMIT,
+    )
+    update, plain_update = np.zeros(8), np.zeros(8)
+    update[:2], plain_update[:2] = mu, plain
+    peak = StagePeak(stage=Stage.TRANSLATION, mu=(float(mu[0]), float(mu[1])), confidence=conf)
+    return update, peak, plain_update
+
+
+def _capture_level(template: ImageGrid, search: ImageGrid) -> tuple[ImageGrid, ImageGrid, int]:
+    """The pair box-reduced 2x2 until its larger side is at most
+    ``_FINEST_SIDE`` (or a one-pixel side would vanish), and the
+    reduction factor.
+
+    Like ``refine``'s pyramid, a reduction first drops an odd last row or
+    column; the half-pixel shift of the center this causes is left to the
+    refinement.  Masked pixels stay zero-weighted content, not NaN.
+    """
+    t, s, factor = template.pixels, search.pixels, 1
+    while max(t.shape[:2]) > _FINEST_SIDE and min(t.shape[:2]) >= 2:
+        h, w = t.shape[:2]
+        t, s = (_reduce(p[: h - h % 2, : w - w % 2]) for p in (t, s))
+        factor *= 2
+    if factor == 1:
+        return template, search, 1
+    return ImageGrid._adopt(t), ImageGrid._adopt(s), factor
 
 
 def estimate(
@@ -184,9 +226,14 @@ def estimate(
     rectifying the search between them, then refine the coefficients of
     every enabled stage directly.
 
-    The refinement starts from the capture estimate, from the plain
-    windowed translation peak (when translation is enabled) and from the
-    identity; the coarse levels keep the start with the lowest cost.
+    The captures run on the capture level: template and search box-reduced
+    2x2 by a factor ``f`` until the larger side is at most 128, warped at
+    ``config.warp``'s size divided by ``f``.  Their estimate returns to full
+    size as a pyramid level's coefficients do: b1 and b2 times ``f``, b7
+    and b8 divided by it.  The refinement runs on the full-size pair from
+    the capture estimate, from the plain peak of the translation capture's
+    own correlation (when translation is enabled) and from the identity;
+    the coarse levels keep the start with the lowest cost.
 
     Returns the refined coefficients, the composed homography, the peak
     diagnostics of the captures that ran, and their minimum confidence;
@@ -196,19 +243,24 @@ def estimate(
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
 
+    level_template, level_search, factor = _capture_level(template, search)
+    warp = config.warp or WarpConfig.for_width(template.width)
+    level_config = EstimatorConfig(warp=WarpConfig.for_width(warp.n // factor))
     b_hat = np.zeros(8)
+    starts: list[np.ndarray] = []
     peaks: list[StagePeak] = []
     for stage in (s for s in config.stages if s in _CAPTURE_STAGES):
-        rectified = rectify(search, b_hat)
-        update, peak = estimate_stage(template, rectified, stage, config)
+        if stage is Stage.TRANSLATION:
+            update, peak, plain = _capture_translation(level_template, level_search)
+            starts.append(plain)
+        else:
+            rectified = rectify(level_search, b_hat)
+            update, peak = estimate_stage(level_template, rectified, stage, level_config)
         b_hat = b_hat + update
         peaks.append(peak)
-    if config.stages:
-        starts = [b_hat]
-        if Stage.TRANSLATION in config.stages:
-            shift, _ = phase_correlate(template, search, subpixel=False)
-            starts.append(np.concatenate([shift, np.zeros(6)]))
-        b_hat = refine(template, search, starts, _free_coefficients(config.stages))
+    scale = np.array([factor, factor, 1, 1, 1, 1, 1 / factor, 1 / factor])
+    starts = [scale * b for b in (b_hat, *starts)]
+    b_hat = refine(template, search, starts, _free_coefficients(config.stages))
 
     b_hat.setflags(write=False)
     h_hat = compose_homography(b_hat)

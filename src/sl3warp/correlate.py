@@ -49,6 +49,21 @@ def phase_correlate(
     raw-surface argmax inside that neighborhood, so exact shifts stay
     exact.
     """
+    mu, confidence, _ = _correlate(a, b, window_power, circular_vertical, subpixel, band_limit)
+    return mu, confidence
+
+
+def _correlate(
+    a: ImageGrid,
+    b: ImageGrid,
+    window_power: float,
+    circular_vertical: bool,
+    subpixel: bool,
+    band_limit: float | None,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`phase_correlate`, plus the plain peak: the displacement of
+    the raw surface's own integer argmax, which a band limit may steer the
+    first result away from."""
     if a.pixels.shape != b.pixels.shape:
         raise ValueError(
             f"images must have identical shape, got {a.pixels.shape} vs {b.pixels.shape}"
@@ -70,10 +85,11 @@ def phase_correlate(
 
     total = np.abs(surface).sum()
     if total == 0.0:
-        return np.zeros(2), 0.0
+        return np.zeros(2), 0.0, np.zeros(2)
 
+    plain = np.unravel_index(int(np.argmax(surface)), surface.shape)
     if band_limit is None:
-        iy, ix = np.unravel_index(int(np.argmax(surface)), surface.shape)
+        iy, ix = plain
     else:
         smooth = np.fft.irfft2(spectrum * _band_mask(h, w, band_limit), s=(h, w))
         cy, cx = np.unravel_index(int(np.argmax(smooth)), smooth.shape)
@@ -82,12 +98,17 @@ def phase_correlate(
     peak = float(surface[iy, ix])
     confidence = float(np.clip(peak / total, 0.0, 1.0))
 
-    dx = float(ix if ix <= w // 2 else ix - w)
-    dy = float(iy if iy <= h // 2 else iy - h)
+    mu = _unwrap(ix, iy, w, h)
     if subpixel:
-        dx += _parabolic_offset(surface[iy, (ix - 1) % w], peak, surface[iy, (ix + 1) % w])
-        dy += _parabolic_offset(surface[(iy - 1) % h, ix], peak, surface[(iy + 1) % h, ix])
-    return np.array([dx, dy]), confidence
+        mu[0] += _parabolic_offset(surface[iy, (ix - 1) % w], peak, surface[iy, (ix + 1) % w])
+        mu[1] += _parabolic_offset(surface[(iy - 1) % h, ix], peak, surface[(iy + 1) % h, ix])
+    return mu, confidence, _unwrap(plain[1], plain[0], w, h)
+
+
+def _unwrap(ix: int, iy: int, w: int, h: int) -> np.ndarray:
+    """The displacement ``(dx, dy)`` of surface index ``(iy, ix)``, in
+    ``(-n/2, n/2]`` per axis."""
+    return np.array([float(ix if ix <= w // 2 else ix - w), float(iy if iy <= h // 2 else iy - h)])
 
 
 def _phase_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

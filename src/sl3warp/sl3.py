@@ -271,19 +271,21 @@ def projective_distance(h1, h2) -> float:
 def _nonsingular(h) -> tuple[np.ndarray, float, float]:
     """``h`` as a matrix with its determinant and Frobenius norm.
 
-    Raises :class:`SingularMatrixError` when the determinant is negligible
-    against the norm, and ``ValueError`` when it overflows.
+    Raises :class:`SingularMatrixError` when the determinant is zero or
+    negligible against the norm, and ``ValueError`` when it overflows.
     """
     h = _as_matrix(h)
-    d = float(np.linalg.det(h))
-    scale = float(np.linalg.norm(h))
+    with np.errstate(all="ignore"):
+        d = float(np.linalg.det(h))
+        scale = float(np.linalg.norm(h))
     if not math.isfinite(d):
         raise ValueError("matrix determinant is not finite")
     try:
         negligible = abs(d) < (1e-9 * scale) ** 3
     except OverflowError:  # a bound past the float range exceeds every finite d
         negligible = True
-    if scale == 0.0 or negligible:
+    # an underflowed d has no tolerance left to fall below
+    if d == 0.0 or negligible:
         raise SingularMatrixError("matrix is singular or nearly singular")
     return h, d, scale
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sl3warp import cascade
+from sl3warp import cascade, correlate
 from sl3warp.cascade import (
     CASCADE_ORDER,
     EstimatorConfig,
@@ -13,7 +13,7 @@ from sl3warp.cascade import (
     rectify,
 )
 from sl3warp.metrics import alignment_error, template_corners
-from sl3warp.raster import warp_by_homography
+from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp.sl3 import compose_homography, projective_distance
 from sl3warp.synth import make_pair
 from sl3warp.warps import WarpConfig, WarpKind
@@ -254,3 +254,67 @@ class TestEstimate:
         assert set(d) == {"b", "h", "stages", "confidence"}
         assert len(d["b"]) == 8 and len(d["h"]) == 9
         assert d["stages"][0]["kind"] == "translation"
+
+
+def record_captures(monkeypatch):
+    """Record the image shape of every correlation, and the image shape and
+    warp size of every ``warp_image`` call, that ``estimate`` makes."""
+    correlated, warped = [], []
+    correlate_ = correlate._correlate
+    warp_image = cascade.warp_image
+
+    def recording_correlate(a, b, *args, **kwargs):
+        correlated.append(a.pixels.shape[:2])
+        return correlate_(a, b, *args, **kwargs)
+
+    def recording_warp_image(image, kind, config):
+        warped.append((image.pixels.shape[:2], config.n))
+        return warp_image(image, kind, config)
+
+    # phase_correlate finds _correlate in its own module, the translation
+    # capture in cascade's
+    monkeypatch.setattr(correlate, "_correlate", recording_correlate)
+    monkeypatch.setattr(cascade, "_correlate", recording_correlate)
+    monkeypatch.setattr(cascade, "warp_image", recording_warp_image)
+    return correlated, warped
+
+
+class TestCaptureLevel:
+    B = [5.0, -3.0, 0.1, 0.05, 0.0, 0.04, 2e-4, 0.0]
+
+    def test_captures_run_at_the_refinement_resolution(self, monkeypatch):
+        img, search = synthetic_pair(np.array(self.B), seed=15)
+        correlated, warped = record_captures(monkeypatch)
+        estimate(img, search, make_config())
+        # the translation capture, then the scale-rot capture of the warps
+        assert correlated == [(128, 128)] * 2
+        assert warped == [((128, 128), 128)] * 2
+
+    def test_large_pair_reduces_twice(self, monkeypatch):
+        b = np.array([9.0, -6.0, 0.08, 0.04, 0.02, 0.03, 1e-4, -1e-4])
+        img, search = synthetic_pair(b, seed=17, n=512)
+        correlated, warped = record_captures(monkeypatch)
+        result = estimate(img, search)
+        assert correlated == [(128, 128)] * 2
+        assert warped == [((128, 128), 128)] * 2
+        corners = template_corners(512, 512)
+        assert alignment_error(result.h_hat, compose_homography(b), corners) < 0.5
+
+    def test_odd_sides_are_reduced(self, monkeypatch):
+        b = np.array(self.B)
+        img = ImageGrid(smooth_image(257, seed=18).pixels[:255])
+        search = warp_by_homography(img, compose_homography(b))
+        correlated, warped = record_captures(monkeypatch)
+        result = estimate(img, search)
+        # 255 x 257 loses its odd last row and column, then halves once;
+        # the full-size warp of 256 halves with it
+        assert correlated == [(127, 128), (128, 128)]
+        assert warped == [((127, 128), 128)] * 2
+        corners = template_corners(257, 255)
+        assert alignment_error(result.h_hat, compose_homography(b), corners) < 0.5
+
+    def test_a_one_pixel_side_stops_the_reduction(self, monkeypatch):
+        img = ImageGrid(smooth_image(300, seed=19).pixels[:2])
+        correlated, _ = record_captures(monkeypatch)
+        estimate(img, img)
+        assert correlated[0] == (1, 150)

@@ -55,6 +55,18 @@ class TestComposeDecompose:
         h = [-1, 0, 0, 0, 1, 0, 0, 0, 1]
         assert cli(["decompose", "--h"] + [str(v) for v in h]) == 2
 
+    def test_decompose_overflow_is_one_error_line(self):
+        # in a fresh interpreter, so that a leaked numpy warning is printed
+        env = {**os.environ, "PYTHONPATH": str(Path(sl3warp.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sl3warp.cli", "decompose", "--h",
+             "1e200", "0", "0", "0", "1e200", "0", "0", "0", "1e200"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_compose_out_of_range_is_data_error(self, capsys):
         assert cli(["compose", "--b", "0", "0", "0", "800", "0", "0", "0", "0"]) == 2
         err = capsys.readouterr().err

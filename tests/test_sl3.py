@@ -355,6 +355,12 @@ class TestNormalize:
         with pytest.raises(SingularMatrixError):
             normalize_homography(np.diag([1.0, 1.0, 0.0]))
 
+    def test_underflowed_determinant_is_singular(self):
+        # det and its tolerance both underflow to 0; the matrix must not
+        # normalize to inf
+        with pytest.raises(SingularMatrixError):
+            normalize_homography(1e-110 * np.eye(3))
+
 
 class TestApplyHomography:
     def test_identity(self):
