@@ -8,6 +8,14 @@ seed=i)`` for ``i < 16``, each pair plain and with a radius-60 corner mask,
 and the warp configuration the CLI builds for 256-pixel inputs.  Families:
 
 * ``estimate``: every case's ``to_dict()`` as JSON plus the ``b_hat`` bytes;
+* ``estimate.wide``: the same on 16 ``wide`` pairs per seed, plain and
+  masked: ``middle`` with ``theta`` in ``(-pi, pi)`` and ``gamma`` in
+  ``(0.6, 1.6)``, sampled with the same seeds, sources and crops;
+* ``refine``: ``refine`` with every coefficient free from two start stacks
+  per case: a perturbed truth, the identity, a start whose horizon crosses
+  the template (``b7 = 0.2``) and one whose aspect factor leaves the float
+  range (``b4 = 800``); then the last two alone, so the first start is
+  unusable;
 * ``residual_jacobian``: ``r``, the valid mask and ``J`` at the true and at
   the estimated coefficients, all eight free, and at the true coefficients
   on a ``(128, 256)`` pair of every other case, both ways round;
@@ -32,8 +40,10 @@ per version, and compare the lines:
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -47,16 +57,22 @@ CROP = 256
 PAIRS = 16
 MASK_RADIUS = 60
 CONFIG = cascade.EstimatorConfig(warp=warps.WarpConfig(n=CROP))
+WIDE = dataclasses.replace(synth.PRESETS["middle"], theta=(-math.pi, math.pi), gamma=(0.6, 1.6))
+# refine starts: a nudge off the truth, a horizon through the template, an
+# aspect factor past the float range
+NUDGE = np.array([2.0, -1.5, 0.02, 0.01, 0.01, -0.01, 0.0, 0.0])
+BEYOND_HORIZON = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.0])
+OUT_OF_RANGE = np.array([0.0, 0.0, 0.0, 800.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _bytes(*arrays) -> bytes:
     return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
-def _cases(seed, sources):
+def _cases(seed, sources, ranges=synth.PRESETS["middle"]):
     """``(pair, template, search)`` for every plain and masked case."""
     for i in range(PAIRS):
-        b = synth.sample_coeffs(synth.PRESETS["middle"], (seed, i))
+        b = synth.sample_coeffs(ranges, (seed, i))
         pair = synth.make_pair(sources[i % len(sources)], b, CROP, seed=i)
         yield pair, pair.template, pair.search
         yield (pair, synth.mask_corners(pair.template, MASK_RADIUS),
@@ -84,9 +100,9 @@ def _dataset_bytes(seed, sources):
 
 
 def digests(seeds) -> dict[str, str]:
-    families = ["estimate", "residual_jacobian", "phase_correlate", "phase_correlate.aspect",
-                "warp_by_homography", "make_pair", "generate_dataset"] + [
-                    f"warp_image.{k.value}" for k in warps.WarpKind]
+    families = ["estimate", "estimate.wide", "refine", "residual_jacobian", "phase_correlate",
+                "phase_correlate.aspect", "warp_by_homography", "make_pair",
+                "generate_dataset"] + [f"warp_image.{k.value}" for k in warps.WarpKind]
     hashes = {name: hashlib.sha256() for name in families}
     sources = [synth.texture(SOURCE_SIZE, seed=700 + i) for i in range(8)]
     perturb = np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 2e-3, -2e-3])
@@ -103,6 +119,9 @@ def digests(seeds) -> dict[str, str]:
             result = cascade.estimate(template, search, CONFIG)
             hashes["estimate"].update(json.dumps(result.to_dict()).encode()
                                       + _bytes(result.b_hat))
+            for starts in ([pair.b_true + NUDGE, np.zeros(8), BEYOND_HORIZON, OUT_OF_RANGE],
+                           [OUT_OF_RANGE, BEYOND_HORIZON]):
+                hashes["refine"].update(_bytes(refine.refine(template, search, starts, range(8))))
             for b in (pair.b_true, result.b_hat):
                 hashes["residual_jacobian"].update(
                     _bytes(*refine.residual_jacobian(template, search, b, range(8))))
@@ -130,6 +149,10 @@ def digests(seeds) -> dict[str, str]:
                 for band_limit in (None, 0.05):
                     mu, conf = correlate.phase_correlate(a, b, band_limit=band_limit)
                     hashes[family].update(_bytes(mu, np.float64(conf)))
+        for _, template, search in _cases(seed, sources, WIDE):
+            result = cascade.estimate(template, search, CONFIG)
+            hashes["estimate.wide"].update(json.dumps(result.to_dict()).encode()
+                                           + _bytes(result.b_hat))
         hashes["generate_dataset"].update(_dataset_bytes(seed, sources))
     return {name: h.hexdigest() for name, h in hashes.items()}
 

@@ -69,9 +69,10 @@ class ImageGrid:
 
     @classmethod
     def _adopt(cls, pixels: np.ndarray) -> "ImageGrid":
-        """An image that takes over ``pixels``, a C-contiguous float array
-        its caller has just allocated and keeps no reference to: validated
-        and frozen like any other, but not copied."""
+        """An image that takes over ``pixels``, a float array (or a view of
+        one) that its caller has just allocated and keeps no reference to:
+        validated and frozen like any other, but not copied.  It may lay out
+        its channels as separate planes, as the resamplers' samples do."""
         image = object.__new__(cls)
         object.__setattr__(image, "pixels", _frozen(pixels, copy=False))
         return image
@@ -132,15 +133,16 @@ def _centered_grid(width: int, height: int) -> np.ndarray:
 def bilinear_sample(image: ImageGrid, points) -> np.ndarray:
     """Bilinear lookup at center-origin points; zero outside the image box.
 
-    ``points`` is ``(..., 2)`` as (x, y); the result is ``(..., channels)``.
-    Samples beyond ``[-w/2, w/2] x [-h/2, h/2]`` or at non-finite points
-    return exactly zero, and neighbors outside the pixel lattice contribute
-    zero to the blend.
+    ``points`` is ``(..., 2)`` as (x, y); the result is ``(..., channels)``,
+    with each channel one contiguous plane.  Samples beyond
+    ``[-w/2, w/2] x [-h/2, h/2]`` or at non-finite points return exactly
+    zero, and neighbors outside the pixel lattice contribute zero to the
+    blend.
     """
     p = np.asarray(points, dtype=float)
     plan = _plan(p.reshape(-1, 2).T, image.height, image.width)
     planes = _gather(_pad_planes(image.pixels, 0.0), plan)
-    return np.ascontiguousarray(planes.T).reshape(p.shape[:-1] + (image.channels,))
+    return planes.T.reshape(p.shape[:-1] + (image.channels,))
 
 
 def _pad_planes(pixels: np.ndarray, pad: float) -> np.ndarray:

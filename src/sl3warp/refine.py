@@ -19,15 +19,25 @@ Pixels that are exactly zero (masked-out regions) become NaN, and the
 search is padded with NaN.  NaN carries through the box pyramid, the
 bilinear blend and the central differences, so a pixel counts only where
 its residual and ESM gradient are finite: both images cover it and its
-four neighbors, and no sample falls off the search image.  The coarse
-levels run from every given start plus the identity (in
+four neighbors, and no sample falls off the search image.
+
+The coarse levels run from every distinct start plus the identity (in
 ``estimate``: the capture estimate, the plain windowed translation peak,
-the identity) and keep the one with the lowest cost, so the photometric
-cost alone arbitrates between the correlation routes.  A step that is
-singular, non-finite or brings the horizon into the template is rejected,
-and if the finest level ends no lower than the first start, that start
-comes back unchanged.  The stage never raises on images of matching shape
-and is deterministic.
+the identity) and keep the one with the lowest cost, the first of equal
+ones, so the photometric cost alone arbitrates between the correlation
+routes.  The starts run in lock step as the rows of one ``(K, 8)``
+coefficient stack.  Each round evaluates the next trial of every row still
+running with one composition, projection, plan and gather, and solves the
+tangents of the rows that start an iteration at once, so the small levels
+pay their per-call overhead once per round instead of once per start.
+Every row keeps its own damping, iteration count and stop rule, and no
+row's numbers depend on another's, so each start ends bit for bit where
+it would alone.  The finer levels run the same solver on the winning row;
+the finest level's stack also carries the first start as given, whose
+cost there is the baseline.  A step that is singular, non-finite or brings
+the horizon into the template is rejected, and if the finest level ends no
+lower than the baseline, the first start comes back unchanged.  The stage
+never raises on images of matching shape and is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import ImageGrid, _centered_grid, _gather, _pad_planes, _plan
-from .sl3 import FACTOR_COEFFS, _project, compose_homography, factor_matrices, generators
+from .sl3 import FACTOR_COEFFS, _compose_rows, _project, generators
 
 __all__ = ["refine", "residual_jacobian"]
 
@@ -59,6 +69,8 @@ _RELATIVE_DECREASE = 1e-2
 _MIN_VALID = 16
 
 _GENERATORS = np.stack(generators())
+# the factor each coefficient belongs to
+_FACTOR_OF_COEFF = [k for k, coeffs in enumerate(FACTOR_COEFFS) for _ in coeffs]
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,7 @@ class _Evaluation:
     grad_x: np.ndarray
     grad_y: np.ndarray
     valid: np.ndarray  # flat indices of the valid pixels, ascending
+    factors: np.ndarray  # (6, 3, 3) factors of the level's coefficients
 
 
 def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
@@ -106,7 +119,6 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
     if free.size == 0:
         return first
     levels = _pyramid(template, search)
-    coarse, fine = levels[:_START_LEVELS], levels[_START_LEVELS:]
 
     candidates: list[np.ndarray] = []
     for row in (*rows, np.zeros(8)):
@@ -114,20 +126,29 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
         start[free] = row[free]
         if not any(np.array_equal(start, c) for c in candidates):
             candidates.append(start)
-    best_b, best = first, None
-    for start in candidates:
-        b, ev = start, None
-        for level in coarse:
-            b, ev = _solve_level(level, b, free)
-        if ev is not None and (best is None or ev.cost < best.cost):
-            best_b, best = b, ev
-    b, ev = best_b, best
-    for level in fine:
-        b, ev = _solve_level(level, b, free)
-    baseline = _evaluate(levels[-1], first)
+    bs, evs = np.array(candidates), []
+    for k, level in enumerate(levels):
+        if k == _START_LEVELS:
+            bs, evs = _lowest(bs, evs, first)
+        # the finest level also evaluates the first start as given
+        stack = np.vstack([bs, first]) if k == len(levels) - 1 else bs
+        stack, evs = _solve_level(level, stack, free, len(bs))
+        bs = stack[: len(bs)]
+    (b,), (ev,) = _lowest(bs, evs[:-1], first)
+    baseline = evs[-1]
     if ev is None or (baseline is not None and ev.cost >= baseline.cost):
         return first
     return b
+
+
+def _lowest(bs: np.ndarray, evs: list, first: np.ndarray) -> tuple[np.ndarray, list]:
+    """The row of lowest cost, the first of equal ones, as a stack of one
+    with its evaluation; ``first`` without one when no row has a cost."""
+    if all(ev is None for ev in evs):
+        return first[None], [None]
+    costs = [np.inf if ev is None else ev.cost for ev in evs]
+    k = costs.index(min(costs))
+    return bs[k : k + 1], [evs[k]]
 
 
 def residual_jacobian(
@@ -142,12 +163,12 @@ def residual_jacobian(
     """
     free = np.array(free, dtype=int)
     level = _level(_plane(template), _plane(search), np.zeros(2), 0)
-    ev = _evaluate(level, np.asarray(b, dtype=float))
+    ev = _evaluate(level, np.asarray(b, dtype=float)[None])[0]
     valid = np.zeros(template.pixels.shape[:2], bool)
     if ev is None:
         return np.zeros(0), valid, np.zeros((0, free.size))
     valid.flat[ev.valid] = True
-    return ev.residual, valid, _jacobian(level, np.asarray(b, dtype=float), ev, free)
+    return ev.residual, valid, _jacobian(level, ev, _tangents(ev.factors[None])[0], free)
 
 
 def _plane(image: ImageGrid) -> np.ndarray:
@@ -200,47 +221,66 @@ def _level(template, search, offset, k: int) -> _Level:
 
 
 def _gradient(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences along x and y; NaN on the border, which has no
-    neighbor to difference against, and wherever a neighbor is NaN."""
+    """Central differences along x and y of a plane or a stack of them; NaN
+    on the border, which has no neighbor to difference against, and
+    wherever a neighbor is NaN."""
     gx = np.empty_like(plane)
     gy = np.empty_like(plane)
-    inner_x, inner_y = gx[:, 1:-1], gy[1:-1]
-    np.subtract(plane[:, 2:], plane[:, :-2], out=inner_x)
-    np.subtract(plane[2:], plane[:-2], out=inner_y)
+    inner_x, inner_y = gx[..., 1:-1], gy[..., 1:-1, :]
+    np.subtract(plane[..., 2:], plane[..., :-2], out=inner_x)
+    np.subtract(plane[..., 2:, :], plane[..., :-2, :], out=inner_y)
     inner_x *= 0.5
     inner_y *= 0.5
-    gx[:, 0] = gx[:, -1] = gy[0] = gy[-1] = np.nan
+    gx[..., 0] = gx[..., -1] = gy[..., 0, :] = gy[..., -1, :] = np.nan
     return gx, gy
 
 
-def _evaluate(level: _Level, b: np.ndarray) -> _Evaluation | None:
-    """Cost of ``b`` at one level, or None when ``H(b)`` is unusable there."""
-    try:
-        h = compose_homography(level.scale * b)
-    except ValueError:
-        return None
-    uv = _project(h, level.points) - level.offset
-    if not np.all(np.isfinite(uv)):  # the horizon crosses the template
-        return None
+def _evaluate(level: _Level, bs: np.ndarray) -> list[_Evaluation | None]:
+    """Cost of each row of ``bs`` ``(K, 8)`` at one level, or None where
+    ``H(b)`` is unusable there.
+
+    The rows share one composition, projection, plan and gather, and their
+    warped planes are differenced as one ``(K, h, w)`` stack; only the
+    valid pixels and what is kept of them (residual, cost, ESM gradients)
+    are taken row by row.  Each row's numbers are bit for bit those of a
+    one-row call.
+    """
+    out: list[_Evaluation | None] = [None] * len(bs)
+    hs, factors, errors = _compose_rows(level.scale * bs)
+    rows = [k for k, error in enumerate(errors) if error is None]
+    if not rows:
+        return out
+    uv = _project(hs[rows] if len(rows) < len(bs) else hs, level.points)
+    uv -= level.offset
+    if not np.isfinite(uv).all():  # the horizon crosses the template of some rows
+        finite = np.isfinite(uv).reshape(len(rows), -1).all(axis=1)
+        rows, uv = [k for k, f in zip(rows, finite) if f], uv[finite]
+        if not rows:
+            return out
     # the search may differ in size from the template (``residual_jacobian``)
-    plan = _plan(uv, level.search.shape[1] - 2, level.search.shape[2] - 2)
-    warped = _gather(level.search, plan).reshape(level.template.shape)
+    h, w = level.search.shape[1:]
+    plan = _plan(uv.swapaxes(0, 1).reshape(2, -1), h - 2, w - 2)
+    warped = _gather(level.search, plan).reshape((len(rows),) + level.template.shape)
     gx, gy = _gradient(warped)
     gx += level.grad_x
     gx *= 0.5
     gy += level.grad_y
     gy *= 0.5
     residual = np.subtract(warped, level.template, out=warped)
-    valid = np.flatnonzero(np.isfinite(residual + gx + gy))
-    if valid.size < _MIN_VALID:
-        return None
-    residual = residual.take(valid)
-    return _Evaluation(float(residual @ residual) / valid.size, residual,
-                       gx.take(valid), gy.take(valid), valid)
+    valid_mask = np.isfinite(residual + gx + gy)
+    for j, k in enumerate(rows):
+        valid = np.flatnonzero(valid_mask[j])
+        if valid.size < _MIN_VALID:
+            continue
+        r = residual[j].take(valid)
+        out[k] = _Evaluation(float(r @ r) / valid.size, r, gx[j].take(valid),
+                             gy[j].take(valid), valid, factors[k])
+    return out
 
 
-def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -> np.ndarray:
-    """Rows: valid pixels; columns: d r / d b_i for ``i`` in ``free``.
+def _jacobian(level: _Level, ev: _Evaluation, tangents: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Rows: valid pixels; columns: d r / d b_i for ``i`` in ``free``, given
+    the :func:`_tangents` of the evaluated coefficients.
 
     For a perturbation ``H (I + M)`` the point ``x`` moves by
     ``(M x~)_xy - x (M x~)_z``; contracting with the ESM gradient gives one
@@ -251,65 +291,116 @@ def _jacobian(level: _Level, b: np.ndarray, ev: _Evaluation, free: np.ndarray) -
     pts = level.points.take(ev.valid, axis=1)
     gz = -(gx * pts[0] + gy * pts[1])
     rows = np.concatenate([gx * pts, gy * pts, gz * pts])
-    tangents = _tangents(level.scale * b)[free] * level.scale[free, None, None]
+    tangents = tangents[free] * level.scale[free, None, None]
     return rows.T @ tangents.reshape(free.size, 9).T
 
 
-def _tangents(b: np.ndarray) -> np.ndarray:
-    """``H(b)^-1 dH/db_i`` up to multiples of the identity, shape (8, 3, 3).
+def _tangents(factors: np.ndarray) -> np.ndarray:
+    """``H(b)^-1 dH/db_i`` up to multiples of the identity, shape
+    ``(K, 8, 3, 3)``, from the ``(K, 6, 3, 3)`` factors of ``K`` vectors.
 
     Each factor is the exponential of its own generators, so differentiating
     factor ``k`` inserts ``A_i`` after it; moving it to the right end of the
-    product conjugates it by the factors that follow.
+    product conjugates it by the factors that follow.  Raises ``ValueError``
+    when a product of those factors is singular.
     """
-    factors = factor_matrices(b)
-    tails = [np.eye(3)]
-    for factor in reversed(factors[1:]):
-        tails.insert(0, factor @ tails[0])
-    stacked = np.stack([tails[k] for k, coeffs in enumerate(FACTOR_COEFFS) for _ in coeffs])
+    tails = np.empty(factors.shape)
+    tails[:, -1] = np.eye(3)
+    for k in range(len(FACTOR_COEFFS) - 1, 0, -1):
+        tails[:, k - 1] = factors[:, k] @ tails[:, k]
+    stacked = tails[:, _FACTOR_OF_COEFF]
     return np.linalg.solve(stacked, _GENERATORS @ stacked)
 
 
+def _row_tangents(evs: list[_Evaluation]) -> list[np.ndarray | None]:
+    """The :func:`_tangents` of each evaluation, in one solve; None for a
+    row that has none (an extreme ``b``)."""
+    if not evs:
+        return []
+    try:
+        return list(_tangents(np.stack([ev.factors for ev in evs])))
+    except ValueError:
+        if len(evs) == 1:
+            return [None]
+        return [t for ev in evs for t in _row_tangents([ev])]
+
+
 def _solve_level(
-    level: _Level, b: np.ndarray, free: np.ndarray
-) -> tuple[np.ndarray, _Evaluation | None]:
-    """Levenberg-Marquardt on one level; only cost-lowering steps are kept."""
-    ev = _evaluate(level, b)
-    if ev is None:
-        return b, None
-    lam = _LAMBDA_START
-    for _ in range(_MAX_ITERATIONS):
-        try:
-            jac = _jacobian(level, b, ev, free)
-        except ValueError:  # no tangent at an extreme b
+    level: _Level, bs: np.ndarray, free: np.ndarray, solved: int
+) -> tuple[np.ndarray, list[_Evaluation | None]]:
+    """Levenberg-Marquardt on one level from each of the first ``solved``
+    rows of ``bs``, in lock step; the rows after them are only evaluated.
+
+    Every row keeps its own damping, iteration count and stop rule, and
+    only its cost-lowering steps are kept.  A round evaluates the next
+    trial of every active row as one stack, after one tangent solve for the
+    rows that start an iteration, so each row ends bit for bit where it
+    would alone.  Returns the final rows and their evaluations.
+    """
+    bs = bs.copy()
+    evs = _evaluate(level, bs)
+    active = [k for k in range(solved) if evs[k] is not None]
+    lam = dict.fromkeys(active, _LAMBDA_START)
+    iterations = dict.fromkeys(active, 0)
+    systems: dict = {}  # the scaled system of each row's current iteration
+    while active:
+        fresh = [k for k in active if k not in systems]
+        for k, tangents in zip(fresh, _row_tangents([evs[k] for k in fresh])):
+            systems[k] = tangents is not None and _scaled_system(
+                _jacobian(level, evs[k], tangents, free), evs[k].residual)
+        trials = {}
+        for k in active:
+            if systems[k]:  # else no tangent at an extreme b, or no gradient
+                trial, lam[k] = _damped_step(bs[k], systems[k], lam[k], free)
+                if trial is not None:
+                    trials[k] = trial
+        if not trials:
             break
-        normal = jac.T @ jac
-        grad = jac.T @ ev.residual
-        norms = np.sqrt(np.diag(normal))
-        live = norms > 0.0
+        active = []
+        for k, ev in zip(trials, _evaluate(level, np.array(list(trials.values())))):
+            if ev is None or ev.cost >= evs[k].cost:
+                lam[k] *= 10.0
+                active.append(k)
+                continue
+            decrease = evs[k].cost - ev.cost
+            bs[k], evs[k] = trials[k], ev
+            lam[k] = max(lam[k] / 10.0, _LAMBDA_MIN)
+            iterations[k] += 1
+            del systems[k]
+            if (decrease > _RELATIVE_DECREASE * (ev.cost + decrease)
+                    and iterations[k] < _MAX_ITERATIONS):
+                active.append(k)
+    return bs, evs
+
+
+def _scaled_system(jac: np.ndarray, residual: np.ndarray):
+    """The Gauss-Newton system of one Jacobian, its columns scaled to unit
+    norm: the normal matrix and right-hand side over the columns of nonzero
+    norm, those norms and their mask; False when every column is zero."""
+    normal = jac.T @ jac
+    grad = jac.T @ residual
+    norms = np.sqrt(np.diag(normal))
+    live = norms > 0.0
+    if not live.all():
         if not live.any():
-            break
-        scaled = normal[np.ix_(live, live)] / np.outer(norms[live], norms[live])
-        rhs = -grad[live] / norms[live]
-        accepted = None
-        while lam <= _LAMBDA_MAX:
-            try:
-                step = np.linalg.solve(scaled + lam * np.eye(int(live.sum())), rhs)
-            except np.linalg.LinAlgError:  # singular step
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                candidate = b.copy()
-                candidate[free[live]] += step / norms[live]
-                trial = _evaluate(level, candidate)
-                if trial is not None and trial.cost < ev.cost:
-                    accepted = candidate, trial
-                    break
-            lam *= 10.0
-        if accepted is None:
-            break
-        decrease = ev.cost - accepted[1].cost
-        b, ev = accepted
-        lam = max(lam / 10.0, _LAMBDA_MIN)
-        if decrease <= _RELATIVE_DECREASE * (ev.cost + decrease):
-            break
-    return b, ev
+            return False
+        normal, grad, norms = normal[np.ix_(live, live)], grad[live], norms[live]
+    return normal / np.outer(norms, norms), -grad / norms, norms, live
+
+
+def _damped_step(b: np.ndarray, system, lam: float, free: np.ndarray):
+    """The next trial from ``b`` and its damping: the first of ``lam, 10 lam,
+    ...`` up to ``_LAMBDA_MAX`` whose step is regular and finite, or None
+    when there is none."""
+    scaled, rhs, norms, live = system
+    while lam <= _LAMBDA_MAX:
+        try:
+            step = np.linalg.solve(scaled + lam * np.eye(rhs.size), rhs)
+        except np.linalg.LinAlgError:  # singular step
+            step = None
+        if step is not None and np.all(np.isfinite(step)):
+            trial = b.copy()
+            trial[free[live]] += step / norms
+            return trial, lam
+        lam *= 10.0
+    return None, lam

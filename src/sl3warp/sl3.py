@@ -25,7 +25,6 @@ squaring (Moler & Van Loan, SIAM Review 2003, method 3).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -120,11 +119,15 @@ def params_from_coeffs(b) -> np.ndarray:
     """
     b = _as_coeffs(b)
     if abs(b[3]) > _MAX_LOG or abs(b[4]) > _MAX_LOG:
-        raise ValueError(f"b4 and b5 must lie within +-{_MAX_LOG:g}, got {b[3]:g} and {b[4]:g}")
+        raise _log_range_error(b[3], b[4])
     x = b.copy()
     x[3] = math.exp(b[3])
     x[4] = math.exp(b[4])
     return x
+
+
+def _log_range_error(b4: float, b5: float) -> ValueError:
+    return ValueError(f"b4 and b5 must lie within +-{_MAX_LOG:g}, got {b4:g} and {b5:g}")
 
 
 def coeffs_from_params(x) -> np.ndarray:
@@ -175,15 +178,10 @@ FACTOR_COEFFS = ((0, 1), (2, 3), (4,), (5,), (6,), (7,))
 
 def factor_matrices(b) -> tuple[np.ndarray, ...]:
     """The six subgroup factors of ``b``, one per entry of ``FACTOR_COEFFS``."""
-    x = params_from_coeffs(b)
-    return (
-        translation_matrix(x[0], x[1]),
-        rotation_scale_matrix(x[2], x[3]),
-        aspect_matrix(x[4]),
-        shear_matrix(x[5]),
-        perspective_x_matrix(x[6]),
-        perspective_y_matrix(x[7]),
-    )
+    factors, errors = _factor_rows(_as_coeffs(b)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(factors[0])
 
 
 def compose_homography(b) -> np.ndarray:
@@ -193,9 +191,72 @@ def compose_homography(b) -> np.ndarray:
     the result is normalized to ``det = 1``.  A product that overflows is
     reported by the normalization's checks as ``ValueError``.
     """
-    factors = factor_matrices(b)
+    h, _, errors = _compose_rows(_as_coeffs(b)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return h[0]
+
+
+def _factor_rows(bs: np.ndarray) -> tuple[np.ndarray, list[ValueError | None]]:
+    """The factors of every row of ``bs`` ``(K, 8)``, stacked ``(K, 6, 3, 3)``,
+    and per row the ``ValueError`` that :func:`factor_matrices` raises for
+    it, or None.  A failed row gets identity factors.
+
+    Entry by entry the stack is what the single-factor builders give:
+    ``exp``, ``cos`` and ``sin`` come per row from ``math``, as in
+    :func:`params_from_coeffs` and :func:`rotation_scale_matrix`, since
+    numpy's vectorized ``exp`` can differ from it in the last bit.
+    """
+    entries = np.empty((len(bs), len(_FACTOR_ENTRIES)))
+    errors: list[ValueError | None] = [None] * len(bs)
+    for i, row in enumerate(np.asarray(bs, dtype=float).tolist()):
+        if not all(map(math.isfinite, row)):
+            errors[i] = ValueError("coefficient vector contains non-finite entries")
+        elif abs(row[3]) > _MAX_LOG or abs(row[4]) > _MAX_LOG:
+            errors[i] = _log_range_error(row[3], row[4])
+        if errors[i] is not None:
+            row = [0.0] * 8
+        t1, t2, theta, b4, b5, k2, v1, v2 = row
+        gamma, k1 = math.exp(b4), math.exp(b5)
+        c, s = gamma * math.cos(theta), gamma * math.sin(theta)
+        entries[i] = (t1, t2, c, -s, s, c, k1, 1.0 / k1, k2, v1, v2)
+    factors = np.repeat(_IDENTITY_FACTORS, len(bs), axis=0)
+    factors.reshape(len(bs), -1)[:, _FACTOR_ENTRIES] = entries
+    return factors, errors
+
+
+# Flat positions in a (6, 3, 3) factor stack of the entries that
+# _factor_rows writes, in its order.
+_FACTOR_ENTRIES = np.ravel_multi_index((
+    [0, 0, 1, 1, 1, 1, 2, 2, 3, 4, 5],
+    [0, 1, 0, 0, 1, 1, 0, 1, 0, 2, 2],
+    [2, 2, 0, 1, 0, 1, 0, 1, 1, 0, 1],
+), (6, 3, 3))
+_IDENTITY_FACTORS = np.tile(np.eye(3), (1, 6, 1, 1))
+
+
+def _compose_rows(bs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[ValueError | None]]:
+    """:func:`compose_homography` of every row of ``bs`` ``(K, 8)`` at once.
+
+    Returns the homographies ``(K, 3, 3)``, the factors they are the
+    product of ``(K, 6, 3, 3)`` and per row the ``ValueError`` that
+    ``compose_homography`` raises for it, or None; a failed row's
+    matrices are unspecified.  Row by row the results are bit for bit those
+    of one-row calls: the product, determinant and cube root are stacked
+    forms of the same numpy calls.
+    """
+    factors, errors = _factor_rows(bs)
     with np.errstate(all="ignore"):
-        return normalize_homography(functools.reduce(np.matmul, factors))
+        f = factors
+        h = f[:, 0] @ f[:, 1] @ f[:, 2] @ f[:, 3] @ f[:, 4] @ f[:, 5]
+        d = np.linalg.det(h)
+        finite = np.isfinite(h).all(axis=(1, 2))
+        for i, det in enumerate(d.tolist()):
+            if errors[i] is None:
+                errors[i] = (_singularity(h[i], det) if finite[i] else
+                             ValueError("homography contains non-finite entries"))
+        h /= np.cbrt(d)[:, None, None]
+    return h, factors, errors
 
 
 def decompose_homography(h) -> np.ndarray:
@@ -254,7 +315,7 @@ def exp_sl3(b) -> np.ndarray:
 
 def normalize_homography(h) -> np.ndarray:
     """Rescale so that ``det H = 1`` (the unique real cube-root scaling)."""
-    h, d, _ = _nonsingular(h)
+    h, d = _nonsingular(h)
     return h / np.cbrt(d)
 
 
@@ -268,31 +329,38 @@ def projective_distance(h1, h2) -> float:
     return float(np.linalg.norm(_unit_projective(h1) - _unit_projective(h2)))
 
 
-def _nonsingular(h) -> tuple[np.ndarray, float, float]:
-    """``h`` as a matrix with its determinant and Frobenius norm.
-
-    Raises :class:`SingularMatrixError` when the determinant is zero or
-    negligible against the norm, and ``ValueError`` when it overflows.
-    """
+def _nonsingular(h) -> tuple[np.ndarray, float]:
+    """``h`` as a matrix with its determinant; raises what :func:`_singularity` returns."""
     h = _as_matrix(h)
     with np.errstate(all="ignore"):
         d = float(np.linalg.det(h))
-        scale = float(np.linalg.norm(h))
+        error = _singularity(h, d)
+    if error is not None:
+        raise error
+    return h, d
+
+
+def _singularity(h: np.ndarray, d: float) -> ValueError | None:
+    """Why the finite matrix ``h`` of determinant ``d`` cannot be normalized,
+    or None: :class:`SingularMatrixError` when ``d`` is zero or negligible
+    against the Frobenius norm, ``ValueError`` when it overflows.  Callers
+    silence numpy's warnings: the norm of a huge matrix overflows."""
     if not math.isfinite(d):
-        raise ValueError("matrix determinant is not finite")
+        return ValueError("matrix determinant is not finite")
+    scale = float(np.linalg.norm(h))
     try:
         negligible = abs(d) < (1e-9 * scale) ** 3
     except OverflowError:  # a bound past the float range exceeds every finite d
         negligible = True
     # an underflowed d has no tolerance left to fall below
     if d == 0.0 or negligible:
-        raise SingularMatrixError("matrix is singular or nearly singular")
-    return h, d, scale
+        return SingularMatrixError("matrix is singular or nearly singular")
+    return None
 
 
 def _unit_projective(h) -> np.ndarray:
-    h, _, scale = _nonsingular(h)
-    u = h / scale
+    h, _ = _nonsingular(h)
+    u = h / float(np.linalg.norm(h))
     if u.flat[np.abs(u).argmax()] < 0:
         u = -u
     return u
@@ -315,11 +383,15 @@ def apply_homography(h, points) -> np.ndarray:
 
 def _project(h: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """``(x / w, y / w)`` planes ``(2, n)`` of ``h @ planes`` for homogeneous
-    coordinate planes ``(3, n)``; NaN where ``w <= 0``."""
+    coordinate planes ``(3, n)``; NaN where ``w <= 0``.  A stack of
+    homographies ``(K, 3, 3)`` gives one pair of planes each, ``(K, 2, n)``."""
     q = h @ planes
+    w = q[..., 2:, :]
     with np.errstate(all="ignore"):
-        out = q[:2] / q[2]
-    out[:, q[2] <= 0.0] = np.nan
+        out = q[..., :2, :] / w
+    behind = w <= 0.0
+    if behind.any():
+        np.copyto(out, np.nan, where=behind)
     return out
 
 

@@ -214,8 +214,8 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
         planes = np.stack([p, p[:, ::-1], p[::-1], p[::-1, ::-1]])
     plan = _sample_plan(kind, config, image.height, image.width)
     out = _gather(planes, plan)
-    return ImageGrid._adopt(
-        np.ascontiguousarray(out.T).reshape(config.n, config.n, out.shape[0]))
+    # a view: each channel stays one contiguous plane
+    return ImageGrid._adopt(out.T.reshape(config.n, config.n, out.shape[0]))
 
 
 # A warp's bilinear plan depends on the warp and the image size, so it is

@@ -56,6 +56,26 @@ def six_factor_product_longdouble(b):
     return np.asarray(h / np.cbrt(det), dtype=float)
 
 
+def compose_by_factors(b):
+    """``compose_homography`` spelled out: the single-factor builders at
+    ``params_from_coeffs(b)``, multiplied left to right one matrix product
+    at a time and normalized by ``normalize_homography``.  Returns the
+    matrix and the six factors; raises what those functions raise."""
+    from sl3warp.sl3 import (aspect_matrix, normalize_homography, params_from_coeffs,
+                             perspective_x_matrix, perspective_y_matrix,
+                             rotation_scale_matrix, shear_matrix, translation_matrix)
+
+    x = params_from_coeffs(b)
+    factors = [translation_matrix(x[0], x[1]), rotation_scale_matrix(x[2], x[3]),
+               aspect_matrix(x[4]), shear_matrix(x[5]), perspective_x_matrix(x[6]),
+               perspective_y_matrix(x[7])]
+    h = factors[0]
+    with np.errstate(all="ignore"):
+        for factor in factors[1:]:
+            h = h @ factor
+    return normalize_homography(h), factors
+
+
 def map_corner(h, corner):
     """Dehomogenized image of one point, computed with scalar arithmetic."""
     x, y = float(corner[0]), float(corner[1])

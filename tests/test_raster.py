@@ -157,6 +157,20 @@ class TestBilinearSample:
         want = bilinear_sample(img, np.ascontiguousarray(planes.T))
         assert got.shape == (501, channels) and got.tobytes() == want.tobytes()
 
+    def test_multichannel_samples_are_channel_planes(self):
+        # the gather's (c, n) rows come back as a view, not an interleaved copy,
+        # and a warp adopts them as they are
+        rng = np.random.default_rng(7)
+        img = ImageGrid(rng.random((12, 10, 3)))
+        got = bilinear_sample(img, rng.uniform(-6, 6, size=(4, 5, 2)))
+        assert got.shape == (4, 5, 3)
+        for k in range(3):
+            assert got[..., k].flags.c_contiguous
+        warped = warp_by_homography(img, np.diag([1.1, 0.9, 1.0])).pixels
+        assert not warped.flags.writeable
+        for k in range(3):
+            assert warped[..., k].flags.c_contiguous
+
     @pytest.mark.parametrize("shape", [(15, 16, 1), (8, 5, 3)])
     def test_gather_on_nan_padded_planes_equals_scalar_reference(self, shape):
         # refinement's layout: NaN pad and NaN (missing) pixels inside

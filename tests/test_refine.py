@@ -147,7 +147,8 @@ class TestResidualJacobian:
                 for k, coeffs in enumerate(FACTOR_COEFFS)
                 for i in coeffs
             ])
-            np.testing.assert_array_equal(refine_module._tangents(b), want)
+            got = refine_module._tangents(np.stack(factors)[None])[0]
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRefine:
@@ -199,9 +200,10 @@ class TestRefine:
 
     def test_start_kept_when_cost_not_lowered(self, middle_pair, monkeypatch):
         # a level solver that only makes things worse must not leak out
-        def worse(level, b, free):
-            b = b + np.array([3.0, 0, 0, 0, 0, 0, 0, 0])
-            return b, refine_module._evaluate(level, b)
+        def worse(level, bs, free, solved):
+            bs = bs.copy()
+            bs[:solved, 0] += 3.0  # the rows after ``solved`` are only evaluated
+            return bs, refine_module._evaluate(level, bs)
 
         monkeypatch.setattr(refine_module, "_solve_level", worse)
         b_init = np.array(middle_pair.b_true)
@@ -243,7 +245,7 @@ class TestRefine:
             refine(smooth_image(64, seed=23), smooth_image(32, seed=23), np.zeros(8), range(8))
 
     def test_failing_jacobian_keeps_the_start(self, monkeypatch):
-        def no_tangent(b):
+        def no_tangent(factors):
             raise ValueError("no tangent")
 
         monkeypatch.setattr(refine_module, "_tangents", no_tangent)
@@ -265,6 +267,49 @@ class TestRefine:
         b_init = np.array([0.5, -0.5, 0.01, 0, 0, 0, 0, 0])
         b = refine(img, warp_by_homography(img, compose_homography(b_init)), b_init, range(8))
         np.testing.assert_array_equal(b, b_init)
+
+    @pytest.mark.parametrize("level_index", [0, 1])
+    def test_lock_step_rows_end_where_they_would_alone(self, middle_pair, monkeypatch, level_index):
+        # a stack of starts against one-row solves of each: one start fails
+        # to evaluate, one has the horizon through the template, the others
+        # run for different numbers of rounds; the last row is only evaluated
+        level = refine_module._pyramid(middle_pair.template, middle_pair.search)[level_index]
+        free = np.arange(8)
+        unusable, beyond = np.zeros(8), np.zeros(8)
+        unusable[4] = 800.0
+        beyond[6] = 0.2
+        starts = np.array([
+            B_MIDDLE + [1.5, -1.0, 0.03, 0.02, 0, 0, 0, 0],
+            unusable,
+            np.zeros(8),
+            beyond,
+            B_MIDDLE * 0.6,
+            B_MIDDLE,
+        ])
+        stack, evs = refine_module._solve_level(level, starts, free, len(starts) - 1)
+
+        evaluate = refine_module._evaluate
+        rounds = []
+
+        def counted(level, bs):
+            rounds[-1] += 1
+            return evaluate(level, bs)
+
+        monkeypatch.setattr(refine_module, "_evaluate", counted)
+        for k, start in enumerate(starts[:-1]):
+            rounds.append(0)
+            (alone,), (ev,) = refine_module._solve_level(level, start[None], free, 1)
+            assert stack[k].tobytes() == alone.tobytes()
+            assert (evs[k] is None) == (ev is None)
+            if ev is not None:
+                assert evs[k].cost == ev.cost
+                assert evs[k].residual.tobytes() == ev.residual.tobytes()
+        assert evs[1] is None and evs[3] is None
+        assert rounds[1] == rounds[3] == 1
+        assert len({rounds[k] for k in (0, 2, 4)}) == 3
+        (baseline,) = evaluate(level, starts[-1:])
+        assert stack[-1].tobytes() == starts[-1].tobytes()
+        assert evs[-1].cost == baseline.cost
 
     def test_start_beyond_horizon_does_not_raise(self):
         img = smooth_image(64, seed=23)

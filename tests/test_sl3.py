@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl3warp.sl3 import (
     SingularMatrixError,
+    _compose_rows,
     _project,
     UnrepresentableError,
     apply_homography,
@@ -27,7 +28,7 @@ from sl3warp.sl3 import (
     translation_matrix,
 )
 
-from oracles import expm_series_exact, six_factor_product_longdouble
+from oracles import compose_by_factors, expm_series_exact, six_factor_product_longdouble
 
 # Basis matrices, frozen independently of the implementation.
 EXPECTED_GENERATORS = [
@@ -275,6 +276,48 @@ class TestCompose:
         b12[idx] = v + dv
         lhs = compose_homography(b2) @ compose_homography(b1)
         assert projective_distance(lhs, compose_homography(b12)) < 1e-10
+
+
+class TestComposeRows:
+    # the stacked composition refinement evaluates its starts with
+    SPREAD = np.array([40.0, 40.0, 3.2, 1.5, 1.0, 1.0, 5e-3, 5e-3])
+
+    def test_rows_equal_one_row_calls_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        bs = rng.uniform(-1, 1, (256, 8)) * self.SPREAD
+        h, factors, errors = _compose_rows(bs)
+        assert h.shape == (256, 3, 3) and factors.shape == (256, 6, 3, 3)
+        assert errors == [None] * 256
+        for b, hk, fk in zip(bs, h, factors):
+            want, want_factors = compose_by_factors(b)
+            assert hk.tobytes() == want.tobytes() == compose_homography(b).tobytes()
+            assert fk.tobytes() == np.stack(want_factors).tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        {3: 709.0}, {4: -800.0},    # past the exponential's range
+        {0: math.nan}, {6: math.inf},
+        {3: -400.0},                # det = gamma^2 underflows: singular
+        {3: 400.0},                 # det overflows
+        {0: 1e308, 6: 10.0},        # the product's entries overflow
+    ])
+    def test_unusable_rows_leave_the_others_alone(self, bad):
+        rng = np.random.default_rng(18)
+        bs = rng.uniform(-1, 1, (6, 8)) * self.SPREAD
+        want_h, want_factors, _ = _compose_rows(bs)
+        for index, value in bad.items():
+            bs[[1, 4], index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, factors, errors = _compose_rows(bs)
+        for k in (0, 2, 3, 5):
+            assert errors[k] is None
+            assert h[k].tobytes() == want_h[k].tobytes()
+            assert factors[k].tobytes() == want_factors[k].tobytes()
+        for k in (1, 4):
+            with pytest.raises(ValueError) as one_row:
+                compose_homography(bs[k])
+            assert type(errors[k]) is type(one_row.value)
+            assert str(errors[k]) == str(one_row.value)
 
 
 class TestDecompose:

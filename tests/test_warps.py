@@ -261,6 +261,15 @@ class TestWarpImage:
         assert warp_image(img, kind, cfg).pixels.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_channels_stay_planes_of_the_gather(self, kind):
+        # the samples are adopted as gathered, one contiguous plane per
+        # channel, not copied into interleaved pixels
+        got = warp_image(smooth_image(64, seed=14, channels=3), kind, WarpConfig(n=64)).pixels
+        assert got.shape[2] == (4 if kind is ASPECT else 3)
+        for k in range(got.shape[2]):
+            assert got[..., k].flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_cached_plan_is_reused_and_read_only(self, kind):
         cfg = WarpConfig(n=64)
         plan = warps._sample_plan(kind, cfg, 64, 64)
