@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Corner errors of ``estimate`` on the hard sets, one line per set.
+
+Pairs follow acceptance criterion 5's recipe: sources ``texture(832,
+seed=700 + i % 8)``, coefficients ``sample_coeffs(PRESETS[preset], (seed,
+i))`` and ``make_pair(..., crop, seed=i)``; a masked set applies a
+radius-60 ``mask_corners`` to both images.  ``estimate`` runs with the
+warp that fits the template.  The sets are:
+
+* ``middle``, ``large`` and ``pot``, 48 pairs each, 256 crops, plain and
+  masked;
+* ``wide``, 32 pairs, 256 crops: ``middle`` with ``theta`` in ``(-pi, pi)``
+  and ``gamma`` in ``(0.6, 1.6)``;
+* ``large`` and ``pot`` on 128 crops, 16 pairs each.
+
+Each line gives the set, the median corner error in pixels, the count of
+pairs over 5 px and the indices of those pairs:
+
+    PYTHONPATH=src python scripts/hard_sets.py 5
+"""
+
+import argparse
+import dataclasses
+import math
+
+import numpy as np
+
+from sl3warp import cascade, metrics, synth
+
+SOURCE_SIZE = 832
+MASK_RADIUS = 60
+FAIL_PX = 5.0
+WIDE = dataclasses.replace(synth.PRESETS["middle"], theta=(-math.pi, math.pi), gamma=(0.6, 1.6))
+# name, ranges, pairs, crop, masked
+SETS = [
+    *((f"{name}{suffix}", synth.PRESETS[name], 48, 256, masked)
+      for name in ("middle", "large", "pot")
+      for suffix, masked in (("", False), (".masked", True))),
+    ("wide", WIDE, 32, 256, False),
+    ("large.128", synth.PRESETS["large"], 16, 128, False),
+    ("pot.128", synth.PRESETS["pot"], 16, 128, False),
+]
+
+
+def corner_errors(seed, sources, ranges, pairs, crop, masked) -> np.ndarray:
+    corners = metrics.template_corners(crop, crop)
+    errors = []
+    for i in range(pairs):
+        b = synth.sample_coeffs(ranges, (seed, i))
+        pair = synth.make_pair(sources[i % len(sources)], b, crop, seed=i)
+        template, search = pair.template, pair.search
+        if masked:
+            template, search = (synth.mask_corners(image, MASK_RADIUS)
+                                for image in (template, search))
+        result = cascade.estimate(template, search)
+        errors.append(metrics.alignment_error(result.h_hat, pair.h_true, corners))
+    return np.array(errors)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seed", type=int, nargs="?", default=5)
+    args = parser.parse_args()
+    sources = [synth.texture(SOURCE_SIZE, seed=700 + i) for i in range(8)]
+    for name, ranges, pairs, crop, masked in SETS:
+        errors = corner_errors(args.seed, sources, ranges, pairs, crop, masked)
+        failing = np.flatnonzero(~(errors <= FAIL_PX)).tolist()
+        print(f"{name:14s} median {np.median(errors):8.4f} px  "
+              f"over {FAIL_PX:g} px {len(failing):2d}/{pairs}  {failing}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .raster import ImageGrid
+from .raster import ImageGrid, _mapped
 
 __all__ = ["phase_correlate"]
 
@@ -145,7 +145,8 @@ def _guided_argmax(surface: np.ndarray, cy: int, cx: int, radius: int) -> tuple[
 
 # The window and the band mask depend only on the shape and the setting, and
 # a caller correlates a handful of shapes, so both are computed once and kept
-# read-only; the bound only limits what an unusual caller can pile up.
+# read-only, each in its own anonymous mapping outside the malloc heap (see
+# raster._mapped); the bound only limits what an unusual caller can pile up.
 _CACHE_SIZE = 16
 
 
@@ -153,7 +154,7 @@ _CACHE_SIZE = 16
 def _window2d(h: int, w: int, power: float, circular_vertical: bool) -> np.ndarray:
     wx = np.hanning(w) ** power
     wy = np.ones(h) if circular_vertical else np.hanning(h) ** power
-    return _read_only(np.outer(wy, wx))
+    return _read_only(np.outer(wy, wx, out=_mapped((h, w))))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -161,7 +162,7 @@ def _band_mask(h: int, w: int, sigma: float) -> np.ndarray:
     """Gaussian low-pass over the ``rfft2`` half spectrum of an h x w plane."""
     fy = np.fft.fftfreq(h)[:, None]
     fx = np.fft.rfftfreq(w)[None, :]
-    return _read_only(np.exp(-(fx**2 + fy**2) / (2.0 * sigma**2)))
+    return _read_only(np.exp(-(fx**2 + fy**2) / (2.0 * sigma**2), out=_mapped((h, w // 2 + 1))))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

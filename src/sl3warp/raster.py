@@ -25,6 +25,8 @@ the dataset layer.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -202,6 +204,16 @@ def _plan(pts: np.ndarray, h: int, w: int, block: np.ndarray | None = None) -> _
     for out, (a, b) in zip(weights, ((gr, gc), (gr, fc), (fr, gc), (fr, fc))):
         np.multiply(a, b, out=out)
     return _Plan(base, weights, (h + 2, w + 2))
+
+
+def _mapped(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float array of ``shape`` in its own anonymous mapping.
+
+    A long-lived cache kept in the malloc heap splits the heap's free
+    space, so the process's peak RSS then depends on where its chunks land;
+    in a mapping it costs its own bytes and nothing more.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _gather(planes: np.ndarray, plan: _Plan) -> np.ndarray:

@@ -32,7 +32,14 @@ tangents of the rows that start an iteration at once, so the small levels
 pay their per-call overhead once per round instead of once per start.
 Every row keeps its own damping, iteration count and stop rule, and no
 row's numbers depend on another's, so each start ends bit for bit where
-it would alone.  The finer levels run the same solver on the winning row;
+it would alone.  A row stops when an accepted step lowers its cost by at
+most ``_RELATIVE_DECREASE`` of it, and, once a trial has been rejected,
+as soon as the decrease of the summed squared residual that the linear
+model predicts for its next, more damped step is at most that share of
+the sum: more damping only shrinks the step and its predicted decrease,
+so the row could at best take one step that the first rule then stops
+at (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
+problems", 2004).  The finer levels run the same solver on the winning row;
 the finest level's stack also carries the first start as given, whose
 cost there is the baseline.  A step that is singular, non-finite or brings
 the horizon into the template is rejected, and if the finest level ends no
@@ -332,10 +339,16 @@ def _solve_level(
     rows of ``bs``, in lock step; the rows after them are only evaluated.
 
     Every row keeps its own damping, iteration count and stop rule, and
-    only its cost-lowering steps are kept.  A round evaluates the next
-    trial of every active row as one stack, after one tangent solve for the
-    rows that start an iteration, so each row ends bit for bit where it
-    would alone.  Returns the final rows and their evaluations.
+    only its cost-lowering steps are kept.  A row ends when an accepted step
+    lowers its cost by at most ``_RELATIVE_DECREASE`` of it, after
+    ``_MAX_ITERATIONS`` accepted steps, when no damping up to
+    ``_LAMBDA_MAX`` gives a usable step, or, after a rejected trial, when
+    the next step's predicted decrease of the summed squared residual is at
+    most ``_RELATIVE_DECREASE`` of the sum; it keeps its current
+    coefficients.  A round evaluates the next trial of every active row as
+    one stack, after one tangent solve for the rows that start an
+    iteration, so each row ends bit for bit where it would alone.  Returns
+    the final rows and their evaluations.
     """
     bs = bs.copy()
     evs = _evaluate(level, bs)
@@ -351,8 +364,11 @@ def _solve_level(
         trials = {}
         for k in active:
             if systems[k]:  # else no tangent at an extreme b, or no gradient
-                trial, lam[k] = _damped_step(bs[k], systems[k], lam[k], free)
-                if trial is not None:
+                trial, lam[k], predicted = _damped_step(bs[k], systems[k], lam[k], free)
+                # after a rejection, a step predicted to fail the continue
+                # rule ends the row
+                if trial is not None and (k in fresh or predicted > _RELATIVE_DECREASE
+                                          * evs[k].cost * evs[k].valid.size):
                     trials[k] = trial
         if not trials:
             break
@@ -389,9 +405,10 @@ def _scaled_system(jac: np.ndarray, residual: np.ndarray):
 
 
 def _damped_step(b: np.ndarray, system, lam: float, free: np.ndarray):
-    """The next trial from ``b`` and its damping: the first of ``lam, 10 lam,
-    ...`` up to ``_LAMBDA_MAX`` whose step is regular and finite, or None
-    when there is none."""
+    """The next trial from ``b``, its damping and the decrease of the
+    summed squared residual that the linear model predicts for it: the
+    first of ``lam, 10 lam, ...`` up to ``_LAMBDA_MAX`` whose step is
+    regular and finite, or None (and no prediction) when there is none."""
     scaled, rhs, norms, live = system
     while lam <= _LAMBDA_MAX:
         try:
@@ -401,6 +418,7 @@ def _damped_step(b: np.ndarray, system, lam: float, free: np.ndarray):
         if step is not None and np.all(np.isfinite(step)):
             trial = b.copy()
             trial[free[live]] += step / norms
-            return trial, lam
+            # |r|^2 - |r + J d|^2 in the scaled coordinates
+            return trial, lam, float(step @ (2.0 * rhs - scaled @ step))
         lam *= 10.0
-    return None, lam
+    return None, lam, None

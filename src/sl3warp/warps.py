@@ -32,14 +32,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 # bilinear_sample is not called here; the traced benchmark wraps it by this
 # module's name (perfbench/workloads.py), so the name must resolve.
-from .raster import ImageGrid, _Plan, _gather, _pad_planes, _plan, bilinear_sample  # noqa: F401
+from .raster import (  # noqa: F401
+    ImageGrid, _Plan, _gather, _mapped, _pad_planes, _plan, bilinear_sample,
+)
 from .sl3 import FACTOR_COEFFS
 
 __all__ = [
@@ -221,12 +222,11 @@ def warp_image(image: ImageGrid, kind: WarpKind, config: WarpConfig) -> ImageGri
 # A warp's bilinear plan depends on the warp and the image size, so it is
 # computed once and kept read-only: at n = 256 a plan (one index and four
 # weights per pixel) holds 2.5 MB, the aspect warp's too, and only callers
-# of a warp pay for its plans.  A plan lives in its own anonymous mapping,
-# outside the malloc heap: a long-lived chunk there splits the heap's free
-# space, and the estimate benchmark's peak RSS then rose by one or two more
-# 832^2 source rasters (5-10 MB) on some seeds and environment sizes, where
-# in a mapping it costs its own bytes on all.  Callers use one or two warp
-# and image sizes; the bound only limits what an unusual caller can pile up.
+# of a warp pay for its plans.  A plan lives in its own anonymous mapping
+# (see raster._mapped): in the malloc heap the estimate benchmark's peak RSS
+# rose by one or two more 832^2 source rasters (5-10 MB) on some seeds and
+# environment sizes.  Callers use one or two warp and image sizes; the bound
+# only limits what an unusual caller can pile up.
 _PLAN_CACHE_SIZE = 8
 
 
@@ -242,8 +242,7 @@ def _sample_plan(kind: WarpKind, config: WarpConfig, height: int, width: int) ->
     """The read-only bilinear plan (see :func:`~sl3warp.raster._plan`) of a
     warp's sample grid in a ``height x width`` image."""
     grid = _sample_grid(kind, config)
-    block = np.frombuffer(mmap.mmap(-1, 5 * grid.shape[1] * 8)).reshape(5, -1)
-    plan = _plan(grid, height, width, block)
+    plan = _plan(grid, height, width, _mapped((5, grid.shape[1])))
     plan.base.setflags(write=False)
     plan.weights.setflags(write=False)
     return plan

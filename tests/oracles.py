@@ -183,6 +183,15 @@ def refine_valid_reference(template, search, h):
     return valid
 
 
+def predicted_decrease_reference(r, jac, delta):
+    """``|r|^2 - |r + J delta|^2``, the decrease of the summed squared
+    residual that the linearized residual predicts for the step ``delta``,
+    summed pixel by pixel with exact float summation."""
+    moved = [float(ri) + math.fsum(float(j) * float(d) for j, d in zip(row, delta))
+             for ri, row in zip(r, jac)]
+    return math.fsum([float(ri) ** 2 for ri in r] + [-m * m for m in moved])
+
+
 def phase_correlate_full_complex(a, b, window_power, circular_vertical, subpixel, band_limit):
     """Phase correlation on full complex spectra, for ``(h, w, c)`` arrays.
 

@@ -1,4 +1,5 @@
 import itertools
+import mmap
 
 import numpy as np
 import pytest
@@ -124,3 +125,15 @@ class TestCachedConstants:
         assert constant() is array
         with pytest.raises(ValueError):
             array[0, 0] = 0.5
+
+    @pytest.mark.parametrize("constant", [
+        lambda: correlate._window2d(31, 48, 2.0, False),
+        lambda: correlate._band_mask(33, 65, 0.02),
+    ])
+    def test_kept_outside_the_heap(self, constant):
+        # a long-lived cache in the malloc heap makes peak RSS depend on
+        # where its chunks land, so each constant has its own mapping
+        base = constant()
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)

@@ -20,7 +20,12 @@ from sl3warp.synth import make_pair, mask_corners
 from sl3warp.warps import WarpConfig
 
 from conftest import smooth_image
-from oracles import bilinear_reference, map_corner, refine_valid_reference
+from oracles import (
+    bilinear_reference,
+    map_corner,
+    predicted_decrease_reference,
+    refine_valid_reference,
+)
 
 # Every coefficient away from zero, so each tangent is conjugated by the
 # factors after its own.
@@ -131,6 +136,25 @@ class TestResidualJacobian:
         r, valid, jac = residual_jacobian(template, search, b, (0, 1, 4))
         assert r.shape == (0,) and jac.shape == (0, 3)
         assert valid.shape == (64, 64) and not valid.any()
+
+    @pytest.mark.parametrize("free", [range(8), (5, 0, 2)])
+    def test_predicted_decrease_matches_linearized_residual(self, pair, free):
+        # the damped step's prediction, from the column-scaled normal
+        # equations, against the linearized residual summed pixel by pixel
+        template, search = pair
+        free = np.array(free)
+        b = B_JACOBIAN + [0.3, -0.2, 0.004, 0.003, 0, -0.002, 2e-5, 0]
+        r, _, jac = residual_jacobian(template, search, b, free)
+        system = refine_module._scaled_system(jac, r)
+        predictions = []
+        for lam in (1e-3, 1e-1, 10.0, 1e3):
+            trial, used, predicted = refine_module._damped_step(b, system, lam, free)
+            assert used == lam
+            want = predicted_decrease_reference(r, jac, trial[free] - b[free])
+            assert abs(predicted - want) <= 1e-9 * abs(want)
+            predictions.append(predicted)
+        # more damping, a shorter step, a smaller predicted decrease
+        assert predictions == sorted(predictions, reverse=True) and predictions[-1] > 0.0
 
     def test_tangents_equal_one_solve_per_coefficient(self):
         # the batched solve over the stacked tails against the plain loop
@@ -310,6 +334,38 @@ class TestRefine:
         (baseline,) = evaluate(level, starts[-1:])
         assert stack[-1].tobytes() == starts[-1].tobytes()
         assert evs[-1].cost == baseline.cost
+
+    @pytest.mark.parametrize("level_index", [1, 2, 3])
+    def test_converged_row_ends_after_one_rejected_trial(self, middle_pair, monkeypatch,
+                                                         level_index):
+        # restarted where a level's solve ends, a row's first trial is
+        # rejected; the model's predicted decrease must then end the row
+        # instead of a chain of retries at ten times the damping.  (On the
+        # 16^2 level the model still predicts more than the continue rule's
+        # share for a few retries.)
+        level = refine_module._pyramid(middle_pair.template, middle_pair.search)[level_index]
+        free = np.arange(8)
+        evaluate = refine_module._evaluate
+        rows = []
+
+        def counted(level, bs):
+            rows[-1] += len(bs)
+            return evaluate(level, bs)
+
+        monkeypatch.setattr(refine_module, "_evaluate", counted)
+        b = B_MIDDLE
+        for _ in range(8):  # restart until no step is taken
+            rows.append(0)
+            (moved,), (ev,) = refine_module._solve_level(level, b[None], free, 1)
+            if moved.tobytes() == b.tobytes():
+                break
+            b = moved
+        else:
+            pytest.fail("the level's solve never came to rest")
+        # the start and one rejected trial
+        assert rows[-1] == 2
+        (want,) = evaluate(level, b[None])
+        assert ev.cost == want.cost
 
     def test_start_beyond_horizon_does_not_raise(self):
         img = smooth_image(64, seed=23)
