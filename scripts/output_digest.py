@@ -7,10 +7,13 @@ sources ``texture(832, seed=700 + i % 8)``, coefficients
 seed=i)`` for ``i < 16``, each pair plain and with a radius-60 corner mask,
 and the warp configuration the CLI builds for 256-pixel inputs.  Families:
 
-* ``estimate``: every case's ``to_dict()`` as JSON plus the ``b_hat`` bytes;
-* ``estimate.wide``: the same on 16 ``wide`` pairs per seed, plain and
-  masked: ``middle`` with ``theta`` in ``(-pi, pi)`` and ``gamma`` in
-  ``(0.6, 1.6)``, sampled with the same seeds, sources and crops;
+* ``estimate``: every plain case's ``to_dict()`` as JSON plus the
+  ``b_hat`` bytes, and ``estimate.masked`` the same of every masked case,
+  kept apart so that a change to how masked pixels are read does not hide
+  whether the plain pairs kept every bit;
+* ``estimate.wide`` and ``estimate.wide.masked``: the same on 16 ``wide``
+  pairs per seed: ``middle`` with ``theta`` in ``(-pi, pi)`` and ``gamma``
+  in ``(0.6, 1.6)``, sampled with the same seeds, sources and crops;
 * ``refine``: ``refine`` with every coefficient free from two start stacks
   per case: a perturbed truth, the identity, a start whose horizon crosses
   the template (``b7 = 0.2``) and one whose aspect factor leaves the float
@@ -100,8 +103,9 @@ def _dataset_bytes(seed, sources):
 
 
 def digests(seeds) -> dict[str, str]:
-    families = ["estimate", "estimate.wide", "refine", "residual_jacobian", "phase_correlate",
-                "phase_correlate.aspect", "warp_by_homography", "make_pair",
+    families = ["estimate", "estimate.masked", "estimate.wide", "estimate.wide.masked", "refine",
+                "residual_jacobian", "phase_correlate", "phase_correlate.aspect",
+                "warp_by_homography", "make_pair",
                 "generate_dataset"] + [f"warp_image.{k.value}" for k in warps.WarpKind]
     hashes = {name: hashlib.sha256() for name in families}
     sources = [synth.texture(SOURCE_SIZE, seed=700 + i) for i in range(8)]
@@ -117,8 +121,8 @@ def digests(seeds) -> dict[str, str]:
                     hashes["residual_jacobian"].update(
                         _bytes(*refine.residual_jacobian(*images, pair.b_true, range(8))))
             result = cascade.estimate(template, search, CONFIG)
-            hashes["estimate"].update(json.dumps(result.to_dict()).encode()
-                                      + _bytes(result.b_hat))
+            hashes["estimate" + ".masked" * (k % 2)].update(
+                json.dumps(result.to_dict()).encode() + _bytes(result.b_hat))
             for starts in ([pair.b_true + NUDGE, np.zeros(8), BEYOND_HORIZON, OUT_OF_RANGE],
                            [OUT_OF_RANGE, BEYOND_HORIZON]):
                 hashes["refine"].update(_bytes(refine.refine(template, search, starts, range(8))))
@@ -149,10 +153,10 @@ def digests(seeds) -> dict[str, str]:
                 for band_limit in (None, 0.05):
                     mu, conf = correlate.phase_correlate(a, b, band_limit=band_limit)
                     hashes[family].update(_bytes(mu, np.float64(conf)))
-        for _, template, search in _cases(seed, sources, WIDE):
+        for k, (_, template, search) in enumerate(_cases(seed, sources, WIDE)):
             result = cascade.estimate(template, search, CONFIG)
-            hashes["estimate.wide"].update(json.dumps(result.to_dict()).encode()
-                                           + _bytes(result.b_hat))
+            hashes["estimate.wide" + ".masked" * (k % 2)].update(
+                json.dumps(result.to_dict()).encode() + _bytes(result.b_hat))
         hashes["generate_dataset"].update(_dataset_bytes(seed, sources))
     return {name: h.hexdigest() for name, h in hashes.items()}
 

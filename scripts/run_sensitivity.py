@@ -29,10 +29,14 @@ from sl3warp.warps import COEFF_INDICES, WarpKind
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--points", type=int, default=7)
+    parser.add_argument("--points", type=int, default=7, help="odd number of points per axis")
     parser.add_argument("--probe-size", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.points < 1 or args.points % 2 == 0:
+        # the identity-nuisance gap reads the middle column, which only an
+        # odd count puts at zero
+        parser.error(f"--points must be a positive odd number, got {args.points}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

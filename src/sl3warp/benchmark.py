@@ -101,7 +101,10 @@ def run_benchmark(dataset_dir, stages=None) -> BenchmarkReport:
     corners = template_corners(crop, crop)
     corner_note = f"template crop corners at (+-{crop / 2}, +-{crop / 2}), center-origin"
 
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+    # one worker per CPU the process may use, where the OS reports that
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_evaluate_one, dataset_dir, rec, config, corners)
             for rec in manifest["samples"]

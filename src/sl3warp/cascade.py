@@ -6,16 +6,16 @@ perspective directions, and turns each one into a pseudo-translation with
 its own warp (:func:`estimate_stage`).  ``estimate`` captures only the
 first two by correlation: the translation peak, then, with the search
 image rectified through that estimate, the log-polar scale-rotation peak.
-Like the refinement, which reads nothing finer than
-``refine._FINEST_SIDE``, the captures run on a capture level: the pair
-box-reduced 2x2 until its larger side is at most that size, with the
-warp reduced by the same factor.  The captures only propose.  The
-photometric Levenberg-Marquardt of :mod:`sl3warp.refine`, given the
-full-size pair, solves every enabled coefficient from three starts, the
-capture estimate, the plain peak (the integer argmax of the translation
-capture's raw correlation surface) and the identity, and keeps the one
-its cost prefers; the later warps' one-pass estimates were measured not
-to improve on it.
+Both run on the finest level of the refinement's 2x2 box pyramid (the
+first whose larger side is at most ``refine._FINEST_SIDE``), with the warp
+reduced by the same factor and missing pixels read as zero, so the
+captures and the refinement share one reduction and one rule for missing
+pixels.  The captures only propose.  The photometric Levenberg-Marquardt
+of :mod:`sl3warp.refine` solves every enabled coefficient on the same
+pyramid from three starts, the capture estimate, the plain peak (the
+integer argmax of the translation capture's raw correlation surface) and
+the identity, and keeps the one its cost prefers; the later warps'
+one-pass estimates were measured not to improve on it.
 
 Estimation is deterministic and pure: the same inputs and config produce
 bit-identical results.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .correlate import _correlate, phase_correlate
 from .raster import ImageGrid, warp_by_homography
-from .refine import _FINEST_SIDE, _reduce, refine
+from .refine import _pyramid, _refine
 from .sl3 import FACTOR_COEFFS, compose_homography
 from .warps import WarpConfig, WarpKind, recover_coeffs, warp_image
 
@@ -73,9 +73,9 @@ class EstimatorConfig:
     ``stages``, the free factors, must be a subset of the canonical order,
     in that order; stages left out keep their coefficients at zero.
     ``warp`` is the warp of the full-size template; with none, it is the
-    largest even one that fits the template.  ``estimate`` captures on a
-    pair reduced by a factor ``f`` and warps it with ``n // f``, rounded
-    down to even and at least 32.
+    largest even one that fits the template.  ``estimate`` captures on the
+    refinement's finest pyramid level, the pair reduced by a factor ``f``,
+    and warps it with ``n // f``, rounded down to even and at least 32.
     """
 
     warp: WarpConfig | None = None
@@ -104,9 +104,9 @@ class EstimationResult:
     ``confidence`` (their minimum, 0.0 when none ran) describe the captures,
     not the refinement start that won: when refinement keeps the plain
     translation peak or the identity, ``b_hat`` can disagree with them.
-    Each ``stage_peaks[].mu`` is in the pixels of the capture level's
-    image or warp, which ``estimate`` reduces 2x2 until its larger side is
-    at most 128: half the full-size pixels for a 256-pixel pair.
+    Each ``stage_peaks[].mu`` is in the pixels of the image or warp at the
+    refinement's finest pyramid level, where ``estimate`` captures: half
+    the full-size pixels for a 256-pixel pair.
     """
 
     b_hat: np.ndarray
@@ -198,25 +198,6 @@ def _capture_translation(
     return update, peak, plain_update
 
 
-def _capture_level(template: ImageGrid, search: ImageGrid) -> tuple[ImageGrid, ImageGrid, int]:
-    """The pair box-reduced 2x2 until its larger side is at most
-    ``_FINEST_SIDE`` (or a one-pixel side would vanish), and the
-    reduction factor.
-
-    Like ``refine``'s pyramid, a reduction first drops an odd last row or
-    column; the half-pixel shift of the center this causes is left to the
-    refinement.  Masked pixels stay zero-weighted content, not NaN.
-    """
-    t, s, factor = template.pixels, search.pixels, 1
-    while max(t.shape[:2]) > _FINEST_SIDE and min(t.shape[:2]) >= 2:
-        h, w = t.shape[:2]
-        t, s = (_reduce(p[: h - h % 2, : w - w % 2]) for p in (t, s))
-        factor *= 2
-    if factor == 1:
-        return template, search, 1
-    return ImageGrid._adopt(t), ImageGrid._adopt(s), factor
-
-
 def estimate(
     template: ImageGrid,
     search: ImageGrid,
@@ -226,14 +207,15 @@ def estimate(
     rectifying the search between them, then refine the coefficients of
     every enabled stage directly.
 
-    The captures run on the capture level: template and search box-reduced
-    2x2 by a factor ``f`` until the larger side is at most 128, warped at
-    ``config.warp``'s size divided by ``f``.  Their estimate returns to full
-    size as a pyramid level's coefficients do: b1 and b2 times ``f``, b7
-    and b8 divided by it.  The refinement runs on the full-size pair from
-    the capture estimate, from the plain peak of the translation capture's
-    own correlation (when translation is enabled) and from the identity;
-    the coarse levels keep the start with the lowest cost.
+    Capture and refinement share one pyramid (``refine._pyramid``).  The
+    captures run on its finest level, reduced 2x2 by a factor ``f`` until
+    the larger side is at most 128, with missing pixels read as zero and
+    the warp at ``config.warp``'s size divided by ``f``.  Their estimate
+    returns to full size as any level's coefficients do: b1 and b2 times
+    ``f``, b7 and b8 divided by it.  The refinement runs on the same levels
+    from the capture estimate, from the plain peak of the translation
+    capture's own correlation (when translation is enabled) and from the
+    identity; the coarse levels keep the start with the lowest cost.
 
     Returns the refined coefficients, the composed homography, the peak
     diagnostics of the captures that ran, and their minimum confidence;
@@ -243,9 +225,14 @@ def estimate(
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
 
-    level_template, level_search, factor = _capture_level(template, search)
+    levels = _pyramid(template, search)
+    finest = levels[-1]
+    level_template, level_search = (
+        ImageGrid._adopt(np.nan_to_num(plane)[:, :, None])
+        for plane in (finest.template, finest.search[0, 1:-1, 1:-1])
+    )
     warp = config.warp or WarpConfig.for_width(template.width)
-    level_config = EstimatorConfig(warp=WarpConfig.for_width(warp.n // factor))
+    level_config = EstimatorConfig(warp=WarpConfig.for_width(warp.n // int(finest.scale[-1])))
     b_hat = np.zeros(8)
     starts: list[np.ndarray] = []
     peaks: list[StagePeak] = []
@@ -258,9 +245,8 @@ def estimate(
             update, peak = estimate_stage(level_template, rectified, stage, level_config)
         b_hat = b_hat + update
         peaks.append(peak)
-    scale = np.array([factor, factor, 1, 1, 1, 1, 1 / factor, 1 / factor])
-    starts = [scale * b for b in (b_hat, *starts)]
-    b_hat = refine(template, search, starts, _free_coefficients(config.stages))
+    starts = [b / finest.scale for b in (b_hat, *starts)]
+    b_hat = _refine(levels, starts, _free_coefficients(config.stages))
 
     b_hat.setflags(write=False)
     h_hat = compose_homography(b_hat)

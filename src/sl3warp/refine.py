@@ -120,12 +120,16 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
     """
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
+    return _refine(_pyramid(template, search), starts, free)
+
+
+def _refine(levels: list[_Level], starts, free) -> np.ndarray:
+    """:func:`refine` on the levels of a :func:`_pyramid`."""
     rows = np.atleast_2d(np.array(starts, dtype=float))
     first = rows[0]
     free = np.array(sorted(set(free)), dtype=int)
     if free.size == 0:
         return first
-    levels = _pyramid(template, search)
 
     candidates: list[np.ndarray] = []
     for row in (*rows, np.zeros(8)):
@@ -191,6 +195,7 @@ def _pyramid(template: ImageGrid, search: ImageGrid) -> list[_Level]:
     whole full-resolution footprint is.  An odd last row or column is
     dropped before a reduction; the half-pixel shift this puts between the
     level's center and the full image's accumulates in the level's offset.
+    ``estimate`` also runs its correlation captures on the last level.
     """
     planes = [(_plane(template), _plane(search), np.zeros(2))]
     while all(side // 2 >= _MIN_SIDE for side in planes[-1][0].shape):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestRunBenchmark:
                 result.h_hat, h_true, template_corners(128, 128)
             )
             assert record.b_hat == tuple(float(v) for v in result.b_hat)
+
+    def test_runs_where_the_os_reports_no_affinity(self, dataset, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        report = run_benchmark(dataset)
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        assert len(report.samples) == len(manifest["samples"])
 
     def test_estimate_cli_matches_benchmark_record(self, dataset, tmp_path):
         report = run_benchmark(dataset)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sl3warp import cascade, correlate
+from sl3warp import refine as refine_module
 from sl3warp.cascade import (
     CASCADE_ORDER,
     EstimatorConfig,
@@ -15,7 +16,7 @@ from sl3warp.cascade import (
 from sl3warp.metrics import alignment_error, template_corners
 from sl3warp.raster import ImageGrid, warp_by_homography
 from sl3warp.sl3 import compose_homography, projective_distance
-from sl3warp.synth import make_pair
+from sl3warp.synth import make_pair, mask_corners
 from sl3warp.warps import WarpConfig, WarpKind
 
 from conftest import smooth_image
@@ -313,8 +314,32 @@ class TestCaptureLevel:
         corners = template_corners(257, 255)
         assert alignment_error(result.h_hat, compose_homography(b), corners) < 0.5
 
-    def test_a_one_pixel_side_stops_the_reduction(self, monkeypatch):
+    def test_a_side_too_short_to_reduce_captures_at_full_size(self, monkeypatch):
+        # a 2 x 300 pair has no side to halve above refine._MIN_SIDE, so
+        # the refinement's pyramid is the pair itself and so is the capture
         img = ImageGrid(smooth_image(300, seed=19).pixels[:2])
         correlated, _ = record_captures(monkeypatch)
-        estimate(img, img)
-        assert correlated[0] == (1, 150)
+        result = estimate(img, img)
+        assert correlated[0] == (2, 300)
+        assert np.isfinite(result.b_hat).all()
+
+    def test_captures_read_the_refinement_finest_level(self, monkeypatch):
+        pair = make_pair(smooth_image(320, seed=20), np.array(self.B), 256, seed=3)
+        template, search = (mask_corners(image, 60) for image in (pair.template, pair.search))
+        inputs = []
+        correlate_ = correlate._correlate
+
+        def recording_correlate(a, b, *args, **kwargs):
+            inputs.append((a.pixels.copy(), b.pixels.copy()))
+            return correlate_(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(correlate, "_correlate", recording_correlate)
+        monkeypatch.setattr(cascade, "_correlate", recording_correlate)
+        estimate(template, search, make_config())
+        finest = refine_module._pyramid(template, search)[-1]
+        # the translation capture, then the scale-rot capture
+        assert len(inputs) == 2
+        a, b = inputs[0]
+        assert np.isnan(finest.template).any()
+        assert np.array_equal(a[:, :, 0], np.nan_to_num(finest.template))
+        assert np.array_equal(b[:, :, 0], np.nan_to_num(finest.search[0, 1:-1, 1:-1]))

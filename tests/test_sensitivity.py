@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,3 +63,18 @@ class TestWarpSensitivity:
         assert "# predicted" in text
         # header row carries the nuisance grid
         assert "0.05" in text
+
+
+def test_script_rejects_an_even_point_count(tmp_path):
+    # np.linspace(-s, s, 4) has no zero in its middle column, which the
+    # script's identity-nuisance gap reads
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_sensitivity.py"),
+         "--out", str(tmp_path / "out"), "--points", "4", "--probe-size", "64"],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert "--points must be a positive odd number, got 4" in run.stderr
+    assert not (tmp_path / "out").exists()
