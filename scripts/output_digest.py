@@ -11,9 +11,9 @@ and the warp configuration the CLI builds for 256-pixel inputs.  Families:
   ``b_hat`` bytes, and ``estimate.masked`` the same of every masked case,
   kept apart so that a change to how masked pixels are read does not hide
   whether the plain pairs kept every bit;
-* ``estimate.wide`` and ``estimate.wide.masked``: the same on 16 ``wide``
-  pairs per seed: ``middle`` with ``theta`` in ``(-pi, pi)`` and ``gamma``
-  in ``(0.6, 1.6)``, sampled with the same seeds, sources and crops;
+* ``estimate.wide`` and ``estimate.wide.masked``: the same on 16 pairs per
+  seed from ``PRESETS["wide"]``, sampled with the same seeds, sources and
+  crops;
 * ``refine``: ``refine`` with every coefficient free from two start stacks
   per case: a perturbed truth, the identity, a start whose horizon crosses
   the template (``b7 = 0.2``) and one whose aspect factor leaves the float
@@ -43,10 +43,8 @@ per version, and compare the lines:
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -60,7 +58,6 @@ CROP = 256
 PAIRS = 16
 MASK_RADIUS = 60
 CONFIG = cascade.EstimatorConfig(warp=warps.WarpConfig(n=CROP))
-WIDE = dataclasses.replace(synth.PRESETS["middle"], theta=(-math.pi, math.pi), gamma=(0.6, 1.6))
 # refine starts: a nudge off the truth, a horizon through the template, an
 # aspect factor past the float range
 NUDGE = np.array([2.0, -1.5, 0.02, 0.01, 0.01, -0.01, 0.0, 0.0])
@@ -153,7 +150,7 @@ def digests(seeds) -> dict[str, str]:
                 for band_limit in (None, 0.05):
                     mu, conf = correlate.phase_correlate(a, b, band_limit=band_limit)
                     hashes[family].update(_bytes(mu, np.float64(conf)))
-        for k, (_, template, search) in enumerate(_cases(seed, sources, WIDE)):
+        for k, (_, template, search) in enumerate(_cases(seed, sources, synth.PRESETS["wide"])):
             result = cascade.estimate(template, search, CONFIG)
             hashes["estimate.wide" + ".masked" * (k % 2)].update(
                 json.dumps(result.to_dict()).encode() + _bytes(result.b_hat))

@@ -12,10 +12,12 @@ reduced by the same factor and missing pixels read as zero, so the
 captures and the refinement share one reduction and one rule for missing
 pixels.  The captures only propose.  The photometric Levenberg-Marquardt
 of :mod:`sl3warp.refine` solves every enabled coefficient on the same
-pyramid from three starts, the capture estimate, the plain peak (the
-integer argmax of the translation capture's raw correlation surface) and
-the identity, and keeps the one its cost prefers; the later warps'
-one-pass estimates were measured not to improve on it.
+pyramid.  Its coarsest level runs from three starts, the capture
+estimate, the plain peak (the integer argmax of the translation capture's
+raw correlation surface) and the identity, and the one its cost prefers
+there goes on alone through the finer levels; the later warps' one-pass
+estimates were measured not to improve on it.  The rotation coefficient
+``b3`` comes back in ``(-pi, pi]``.
 
 Estimation is deterministic and pure: the same inputs and config produce
 bit-identical results.
@@ -215,7 +217,10 @@ def estimate(
     ``f``, b7 and b8 divided by it.  The refinement runs on the same levels
     from the capture estimate, from the plain peak of the translation
     capture's own correlation (when translation is enabled) and from the
-    identity; the coarse levels keep the start with the lowest cost.
+    identity: the coarsest level runs every start, and the one with the
+    lowest cost there, the first of equal ones, goes on alone through the
+    finer levels.  The rotation coefficient ``b3`` is then taken into
+    ``(-pi, pi]``, which moves the homography only by round-off.
 
     Returns the refined coefficients, the composed homography, the peak
     diagnostics of the captures that ran, and their minimum confidence;
@@ -247,6 +252,10 @@ def estimate(
         peaks.append(peak)
     starts = [b / finest.scale for b in (b_hat, *starts)]
     b_hat = _refine(levels, starts, _free_coefficients(config.stages))
+    # the rotation has period 2 pi: keep it in (-pi, pi]
+    turns = np.ceil((b_hat[2] - np.pi) / (2 * np.pi))
+    if turns:
+        b_hat[2] -= 2 * np.pi * turns
 
     b_hat.setflags(write=False)
     h_hat = compose_homography(b_hat)

@@ -21,30 +21,30 @@ bilinear blend and the central differences, so a pixel counts only where
 its residual and ESM gradient are finite: both images cover it and its
 four neighbors, and no sample falls off the search image.
 
-The coarse levels run from every distinct start plus the identity (in
+The coarsest level runs from every distinct start plus the identity (in
 ``estimate``: the capture estimate, the plain windowed translation peak,
-the identity) and keep the one with the lowest cost, the first of equal
-ones, so the photometric cost alone arbitrates between the correlation
-routes.  The starts run in lock step as the rows of one ``(K, 8)``
-coefficient stack.  Each round evaluates the next trial of every row still
-running with one composition, projection, plan and gather, and solves the
-tangents of the rows that start an iteration at once, so the small levels
-pay their per-call overhead once per round instead of once per start.
-Every row keeps its own damping, iteration count and stop rule, and no
-row's numbers depend on another's, so each start ends bit for bit where
-it would alone.  A row stops when an accepted step lowers its cost by at
-most ``_RELATIVE_DECREASE`` of it, and, once a trial has been rejected,
-as soon as the decrease of the summed squared residual that the linear
-model predicts for its next, more damped step is at most that share of
-the sum: more damping only shrinks the step and its predicted decrease,
-so the row could at best take one step that the first rule then stops
-at (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
-problems", 2004).  The finer levels run the same solver on the winning row;
-the finest level's stack also carries the first start as given, whose
-cost there is the baseline.  A step that is singular, non-finite or brings
-the horizon into the template is rejected, and if the finest level ends no
-lower than the baseline, the first start comes back unchanged.  The stage
-never raises on images of matching shape and is deterministic.
+the identity), and the row with the lowest cost there, the first of equal
+ones, goes on alone through the finer levels, so the photometric cost
+alone arbitrates between the correlation routes.  The starts run in lock
+step as the rows of one ``(K, 8)`` coefficient stack.  Each round
+evaluates the next trial of every row still running with one composition,
+projection, plan and gather, and solves the tangents of the rows that
+start an iteration at once, so the coarsest level pays its per-call
+overhead once per round instead of once per start.  Every row keeps its
+own damping, iteration count and stop rule, and no row's numbers depend on
+another's, so each start ends bit for bit where it would alone.  A row
+stops when an accepted step lowers its cost by at most
+``_RELATIVE_DECREASE`` of it, and, once a trial has been rejected, as soon
+as the decrease of the summed squared residual that the linear model
+predicts for its next, more damped step is at most that share of the sum:
+more damping only shrinks the step and its predicted decrease, so the row
+could at best take one step that the first rule then stops at (Madsen,
+Nielsen & Tingleff, "Methods for non-linear least squares problems",
+2004).  A step that is singular, non-finite or brings the horizon into the
+template is rejected, and a level whose template has no finite nonzero
+gradient takes no step at all: on a flat pair the only gradient left is
+the round-off of the warped search, on which a start would drift.  The
+stage never raises on images of matching shape and is deterministic.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ __all__ = ["refine", "residual_jacobian"]
 # Pyramid: 2x2 box reductions while both sides stay at least _MIN_SIDE
 # (an 8-pixel level has too few pixels for eight coefficients and
 # sends the identity start astray).  The finest level refined is the first
-# whose larger side is at most _FINEST_SIDE, and the _START_LEVELS
-# coarsest levels run from every start.
+# whose larger side is at most _FINEST_SIDE.
 _MIN_SIDE = 16
 _FINEST_SIDE = 128
-_START_LEVELS = 2
 # Levenberg-Marquardt schedule, per level.
 _MAX_ITERATIONS = 12
 _LAMBDA_START = 1e-3
@@ -110,13 +108,14 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
     """The best refinement of ``starts`` so that ``search(H(b) x)`` matches
     ``template(x)``.
 
-    ``starts`` is one 8-vector or a stack of them; the coarse levels run
+    ``starts`` is one 8-vector or a stack of them; the coarsest level runs
     from each, then from the identity, and the finer levels continue the
-    one with the lowest cost.  Only the coefficient positions in ``free``
-    change: the other entries of every start are taken from the first.
-    Returns a new 8-vector, or a copy of the first start when refinement
-    cannot lower its photometric cost.  Raises ``ValueError`` only for
-    images of different shapes.
+    one with the lowest cost there, the first of equal ones.  Only the
+    coefficient positions in ``free`` change: the other entries of every
+    start are taken from the first.  Returns a new 8-vector: where that row
+    ends on the finest level, or the first start when no row can be
+    evaluated.  Raises ``ValueError`` only for images of different
+    shapes.
     """
     if template.pixels.shape != search.pixels.shape:
         raise ValueError("template and search must have identical dimensions")
@@ -137,18 +136,11 @@ def _refine(levels: list[_Level], starts, free) -> np.ndarray:
         start[free] = row[free]
         if not any(np.array_equal(start, c) for c in candidates):
             candidates.append(start)
-    bs, evs = np.array(candidates), []
-    for k, level in enumerate(levels):
-        if k == _START_LEVELS:
-            bs, evs = _lowest(bs, evs, first)
-        # the finest level also evaluates the first start as given
-        stack = np.vstack([bs, first]) if k == len(levels) - 1 else bs
-        stack, evs = _solve_level(level, stack, free, len(bs))
-        bs = stack[: len(bs)]
-    (b,), (ev,) = _lowest(bs, evs[:-1], first)
-    baseline = evs[-1]
-    if ev is None or (baseline is not None and ev.cost >= baseline.cost):
-        return first
+    bs, evs = _solve_level(levels[0], np.array(candidates), free)
+    for level in levels[1:]:
+        bs, evs = _lowest(bs, evs, first)
+        bs, evs = _solve_level(level, bs, free)
+    (b,), _ = _lowest(bs, evs, first)
     return b
 
 
@@ -338,10 +330,10 @@ def _row_tangents(evs: list[_Evaluation]) -> list[np.ndarray | None]:
 
 
 def _solve_level(
-    level: _Level, bs: np.ndarray, free: np.ndarray, solved: int
+    level: _Level, bs: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, list[_Evaluation | None]]:
-    """Levenberg-Marquardt on one level from each of the first ``solved``
-    rows of ``bs``, in lock step; the rows after them are only evaluated.
+    """Levenberg-Marquardt on one level from every row of ``bs``, in lock
+    step.
 
     Every row keeps its own damping, iteration count and stop rule, and
     only its cost-lowering steps are kept.  A row ends when an accepted step
@@ -350,14 +342,17 @@ def _solve_level(
     ``_LAMBDA_MAX`` gives a usable step, or, after a rejected trial, when
     the next step's predicted decrease of the summed squared residual is at
     most ``_RELATIVE_DECREASE`` of the sum; it keeps its current
-    coefficients.  A round evaluates the next trial of every active row as
-    one stack, after one tangent solve for the rows that start an
-    iteration, so each row ends bit for bit where it would alone.  Returns
-    the final rows and their evaluations.
+    coefficients.  No row takes a step when the level's template has no
+    finite nonzero gradient.  A round evaluates the next trial of every
+    active row as one stack, after one tangent solve for the rows that
+    start an iteration, so each row ends bit for bit where it would alone.
+    Returns the final rows and their evaluations.
     """
     bs = bs.copy()
     evs = _evaluate(level, bs)
-    active = [k for k in range(solved) if evs[k] is not None]
+    flat = all(np.fmax.reduce(g, axis=None) == 0.0 == np.fmin.reduce(g, axis=None)
+               for g in (level.grad_x, level.grad_y))
+    active = [] if flat else [k for k, ev in enumerate(evs) if ev is not None]
     lam = dict.fromkeys(active, _LAMBDA_START)
     iterations = dict.fromkeys(active, 0)
     systems: dict = {}  # the scaled system of each row's current iteration

@@ -101,6 +101,11 @@ PRESETS: dict[str, ParamRanges] = {
         t1=(-32, 32), t2=(-32, 32), theta=(-0.7, 0.7), gamma=(1 / 1.38, 1.38),
         k1=_exp_interval(0.1), k2=(-0.015, 0.015), v1=(-1.5e-3, 1.5e-3), v2=(-1.5e-3, 1.5e-3),
     ),
+    # ``middle`` at any rotation and a wider scale
+    "wide": ParamRanges(
+        t1=(-16, 16), t2=(-16, 16), theta=(-np.pi, np.pi), gamma=(0.6, 1.6),
+        k1=_exp_interval(0.2), k2=(-0.15, 0.15), v1=(-1e-4, 1e-4), v2=(-1e-4, 1e-4),
+    ),
 }
 
 

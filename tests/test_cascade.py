@@ -122,6 +122,19 @@ class TestEstimate:
             result.h_hat, compose_homography(result.b_hat), atol=1e-12
         )
 
+    def test_rotation_is_kept_in_half_open_pi_range(self):
+        # refinement ends this wide pair at b3 = -3.7584; the wrap into
+        # (-pi, pi] moves no corner
+        from sl3warp.synth import PRESETS, sample_coeffs, texture
+
+        b = sample_coeffs(PRESETS["wide"], (5, 6))
+        pair = make_pair(texture(832, seed=706), b, 256, seed=6)
+        result = estimate(pair.template, pair.search, make_config())
+        assert -math.pi < result.b_hat[2] <= math.pi
+        assert np.array_equal(result.h_hat, compose_homography(result.b_hat))
+        error = alignment_error(result.h_hat, pair.h_true, template_corners(256, 256))
+        assert abs(error - 0.011804383612916728) < 1e-9  # the unwrapped estimate's
+
     def test_disabled_stages_stay_zero(self):
         b = np.zeros(8)
         b[0], b[1], b[2], b[3] = 6.0, -3.0, 0.25, math.log(1.1)

@@ -21,7 +21,7 @@ from sl3warp.synth import (
 
 class TestParamRanges:
     def test_presets_exist(self):
-        assert set(PRESETS) == {"middle", "large", "pot"}
+        assert set(PRESETS) == {"middle", "large", "pot", "wide"}
 
     def test_middle_preset_values(self):
         r = PRESETS["middle"]
