@@ -227,9 +227,6 @@ def estimate(
     the diagnostics describe the captures, not the start refinement kept.
     """
     config = config or EstimatorConfig()
-    if template.pixels.shape != search.pixels.shape:
-        raise ValueError("template and search must have identical dimensions")
-
     levels = _pyramid(template, search)
     finest = levels[-1]
     level_template, level_search = (

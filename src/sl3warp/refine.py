@@ -13,7 +13,8 @@ Benhimane & Malis (IROS 2004) with the tangent of the six-factor product:
 a change of ``b_i`` moves ``H`` to ``H (I + db_i M_i)``, where ``M_i`` is
 the generator ``A_i`` carried through the factors after its own.  Updating
 ``b`` directly keeps ``h == compose_homography(b)`` exact and leaves every
-coefficient outside ``free`` untouched.
+coefficient outside ``free`` untouched.  ``_objective`` is the one place
+that defines the residual, the cost and the ESM gradient.
 
 Pixels that are exactly zero (masked-out regions) become NaN, and the
 search is padded with NaN.  NaN carries through the box pyramid, the
@@ -88,6 +89,7 @@ class _Level:
     template: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
+    covered: np.ndarray  # where the template and its gradients are finite
     search: np.ndarray  # (1, h + 2, w + 2), see raster._pad_planes
     points: np.ndarray  # (3, h*w) homogeneous center-origin planes, row-major pixels
     offset: np.ndarray  # (2, 1) ``points`` minus the level's own center-origin coordinates
@@ -96,10 +98,11 @@ class _Level:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    cost: float
+    cost: float  # cost, residual and ESM gradients: see _objective
     residual: np.ndarray  # over ``valid`` pixels, like the ESM gradients
     grad_x: np.ndarray
     grad_y: np.ndarray
+    warped: np.ndarray  # the warped search's samples over ``valid`` pixels
     valid: np.ndarray  # flat indices of the valid pixels, ascending
     factors: np.ndarray  # (6, 3, 3) factors of the level's coefficients
 
@@ -117,8 +120,6 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
     evaluated.  Raises ``ValueError`` only for images of different
     shapes.
     """
-    if template.pixels.shape != search.pixels.shape:
-        raise ValueError("template and search must have identical dimensions")
     return _refine(_pyramid(template, search), starts, free)
 
 
@@ -188,7 +189,10 @@ def _pyramid(template: ImageGrid, search: ImageGrid) -> list[_Level]:
     dropped before a reduction; the half-pixel shift this puts between the
     level's center and the full image's accumulates in the level's offset.
     ``estimate`` also runs its correlation captures on the last level.
+    Raises ``ValueError`` for images of different shapes.
     """
+    if template.pixels.shape != search.pixels.shape:
+        raise ValueError("template and search must have identical dimensions")
     planes = [(_plane(template), _plane(search), np.zeros(2))]
     while all(side // 2 >= _MIN_SIDE for side in planes[-1][0].shape):
         h, w = planes[-1][0].shape
@@ -217,6 +221,7 @@ def _level(template, search, offset, k: int) -> _Level:
         template=template,
         grad_x=grad_x,
         grad_y=grad_y,
+        covered=np.isfinite(template + grad_x + grad_y),
         search=_pad_planes(search[:, :, None], np.nan),
         points=points,
         offset=offset[:, None],
@@ -240,14 +245,12 @@ def _gradient(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(level: _Level, bs: np.ndarray) -> list[_Evaluation | None]:
-    """Cost of each row of ``bs`` ``(K, 8)`` at one level, or None where
-    ``H(b)`` is unusable there.
+    """The :func:`_objective` of each row of ``bs`` ``(K, 8)`` at one level,
+    or None where ``H(b)`` is unusable there or has too few valid pixels.
 
-    The rows share one composition, projection, plan and gather, and their
-    warped planes are differenced as one ``(K, h, w)`` stack; only the
-    valid pixels and what is kept of them (residual, cost, ESM gradients)
-    are taken row by row.  Each row's numbers are bit for bit those of a
-    one-row call.
+    The rows share one composition, projection, plan, gather and central
+    difference; a pixel is valid where both planes and their differences
+    are finite.  Each row's numbers are bit for bit a one-row call's.
     """
     out: list[_Evaluation | None] = [None] * len(bs)
     hs, factors, errors = _compose_rows(level.scale * bs)
@@ -266,20 +269,33 @@ def _evaluate(level: _Level, bs: np.ndarray) -> list[_Evaluation | None]:
     plan = _plan(uv.swapaxes(0, 1).reshape(2, -1), h - 2, w - 2)
     warped = _gather(level.search, plan).reshape((len(rows),) + level.template.shape)
     gx, gy = _gradient(warped)
+    finite = np.isfinite(warped + gx + gy) & level.covered
+    kept = [(j, v) for j, v in enumerate(map(np.flatnonzero, finite)) if v.size >= _MIN_VALID]
+    samples = [warped[j].take(valid) for j, valid in kept]  # _objective overwrites warped
+    for (j, valid), sample, obj in zip(kept, samples, _objective(level, warped, gx, gy, kept)):
+        out[rows[j]] = _Evaluation(*obj, sample, valid, factors[rows[j]])
+    return out
+
+
+def _objective(level: _Level, warped: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+               rows: list[tuple[int, np.ndarray]]) -> list[tuple]:
+    """The one definition of what the refinement lowers: for each
+    ``(j, valid)`` of ``rows``, the cost, the residual ``warped - template``
+    and the ESM gradient ``(grad T + grad I_w) / 2`` in x and y at the flat
+    indices ``valid``, from row ``j`` of the ``(K, h, w)`` warped search
+    stack and its central differences ``gx``, ``gy``, all three of which it
+    overwrites.  The cost is the residual's mean square.  A level whose
+    template has no finite nonzero gradient takes no step
+    (:func:`_solve_level`): on a flat pair the only gradient left is the
+    round-off of the warped search, on which a start would drift.
+    """
     gx += level.grad_x
     gx *= 0.5
     gy += level.grad_y
     gy *= 0.5
     residual = np.subtract(warped, level.template, out=warped)
-    valid_mask = np.isfinite(residual + gx + gy)
-    for j, k in enumerate(rows):
-        valid = np.flatnonzero(valid_mask[j])
-        if valid.size < _MIN_VALID:
-            continue
-        r = residual[j].take(valid)
-        out[k] = _Evaluation(float(r @ r) / valid.size, r, gx[j].take(valid),
-                             gy[j].take(valid), valid, factors[k])
-    return out
+    takes = [[a[j].take(valid) for a in (residual, gx, gy)] for j, valid in rows]
+    return [(float(r @ r) / r.size, r, ex, ey) for r, ex, ey in takes]
 
 
 def _jacobian(level: _Level, ev: _Evaluation, tangents: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -335,17 +351,18 @@ def _solve_level(
     """Levenberg-Marquardt on one level from every row of ``bs``, in lock
     step.
 
-    Every row keeps its own damping, iteration count and stop rule, and
-    only its cost-lowering steps are kept.  A row ends when an accepted step
+    Every row keeps its own damping, iteration count and stop rule, and only
+    its cost-lowering steps are kept.  A row ends when an accepted step
     lowers its cost by at most ``_RELATIVE_DECREASE`` of it, after
     ``_MAX_ITERATIONS`` accepted steps, when no damping up to
     ``_LAMBDA_MAX`` gives a usable step, or, after a rejected trial, when
     the next step's predicted decrease of the summed squared residual is at
-    most ``_RELATIVE_DECREASE`` of the sum; it keeps its current
-    coefficients.  No row takes a step when the level's template has no
-    finite nonzero gradient.  A round evaluates the next trial of every
-    active row as one stack, after one tangent solve for the rows that
-    start an iteration, so each row ends bit for bit where it would alone.
+    most ``_RELATIVE_DECREASE`` of the sum, ``r @ r`` of the residual; it
+    keeps its current coefficients.  No row takes a step when the level's
+    template has no finite nonzero gradient.  A round evaluates the next
+    trial of every active row as one stack, after one tangent solve for the
+    rows that start an iteration, so each row ends bit for bit where it
+    would alone.
     Returns the final rows and their evaluations.
     """
     bs = bs.copy()
@@ -368,7 +385,7 @@ def _solve_level(
                 # after a rejection, a step predicted to fail the continue
                 # rule ends the row
                 if trial is not None and (k in fresh or predicted > _RELATIVE_DECREASE
-                                          * evs[k].cost * evs[k].valid.size):
+                                          * (evs[k].residual @ evs[k].residual)):
                     trials[k] = trial
         if not trials:
             break

@@ -183,6 +183,37 @@ def refine_valid_reference(template, search, h):
     return valid
 
 
+def objective_reference(template, warped):
+    """The refinement's objective on one warped plane, one pixel at a time.
+
+    ``template`` and ``warped`` are 2-D planes with NaN where a pixel is
+    missing.  A pixel counts when it is off the border and both planes are
+    finite at it and at its four neighbors.  Returns the flat indices of
+    the pixels that count, in row-major order, and over them the residual
+    ``warped - template``, the ESM gradients ``(grad T + grad I_w) / 2``
+    along x and y from central differences, and the cost, the residual's
+    mean square summed with exact float summation.
+    """
+    h, w = template.shape
+    t = [[float(v) for v in row] for row in template]
+    s = [[float(v) for v in row] for row in warped]
+    valid, residual, grad_x, grad_y = [], [], [], []
+    for r in range(1, h - 1):
+        for c in range(1, w - 1):
+            cross = ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+            if not all(math.isfinite(p[rr][cc]) for p in (t, s) for rr, cc in cross):
+                continue
+            valid.append(r * w + c)
+            residual.append(s[r][c] - t[r][c])
+            grad_x.append(((s[r][c + 1] - s[r][c - 1]) * 0.5
+                           + (t[r][c + 1] - t[r][c - 1]) * 0.5) * 0.5)
+            grad_y.append(((s[r + 1][c] - s[r - 1][c]) * 0.5
+                           + (t[r + 1][c] - t[r - 1][c]) * 0.5) * 0.5)
+    cost = math.fsum(x * x for x in residual) / len(residual) if residual else math.nan
+    return (np.array(valid, dtype=int), np.array(residual), np.array(grad_x),
+            np.array(grad_y), cost)
+
+
 def predicted_decrease_reference(r, jac, delta):
     """``|r|^2 - |r + J delta|^2``, the decrease of the summed squared
     residual that the linearized residual predicts for the step ``delta``,

@@ -23,6 +23,7 @@ from conftest import smooth_image
 from oracles import (
     bilinear_reference,
     map_corner,
+    objective_reference,
     predicted_decrease_reference,
     refine_valid_reference,
 )
@@ -47,6 +48,15 @@ def oracle_residual(template, search, b, rows, cols):
         y = r - (template.height - 1) / 2.0
         out.append(bilinear_reference(s, *map_corner(h, (x, y)))[0] - t[r, c, 0])
     return np.array(out)
+
+
+def full_resolution_evaluation(template, search, b):
+    """The refinement's evaluation of ``b`` on the full-resolution level
+    that ``residual_jacobian`` builds, with the warped search's samples."""
+    level = refine_module._level(
+        refine_module._plane(template), refine_module._plane(search), np.zeros(2), 0
+    )
+    return refine_module._evaluate(level, np.asarray(b, dtype=float)[None])[0]
 
 
 class TestResidualJacobian:
@@ -103,11 +113,12 @@ class TestResidualJacobian:
         # the level pads its search raster once; every lookup through it must
         # still be the package's bilinear kernel, bit for bit
         template, search = pair
-        r, valid, _ = residual_jacobian(template, search, B_JACOBIAN, range(8))
+        _, valid, _ = residual_jacobian(template, search, B_JACOBIAN, range(8))
         pts = pixel_grid(template).reshape(-1, 2)
         q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
-        np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
+        ev = full_resolution_evaluation(template, search, B_JACOBIAN)
+        np.testing.assert_array_equal(ev.warped, warped[valid])
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_search_of_another_size(self, swap):
@@ -118,7 +129,7 @@ class TestResidualJacobian:
         template, search = sample.template, sample.search
         if swap:
             template, search = search, template
-        r, valid, jac = residual_jacobian(template, search, B_JACOBIAN, range(8))
+        _, valid, jac = residual_jacobian(template, search, B_JACOBIAN, range(8))
         want = refine_valid_reference(
             template.pixels[:, :, 0], search.pixels[:, :, 0], compose_homography(B_JACOBIAN)
         )
@@ -127,7 +138,8 @@ class TestResidualJacobian:
         pts = pixel_grid(template).reshape(-1, 2)
         q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
-        np.testing.assert_array_equal(r, warped[valid] - template.pixels[:, :, 0][valid])
+        ev = full_resolution_evaluation(template, search, B_JACOBIAN)
+        np.testing.assert_array_equal(ev.warped, warped[valid])
 
     def test_unusable_b_gives_empty_arrays(self, pair):
         template, search = pair
@@ -155,6 +167,44 @@ class TestResidualJacobian:
             predictions.append(predicted)
         # more damping, a shorter step, a smaller predicted decrease
         assert predictions == sorted(predictions, reverse=True) and predictions[-1] > 0.0
+
+    def test_objective_matches_oracle_around_a_dropped_row(self, monkeypatch):
+        # the middle start overlaps the 16^2 coarsest level in fewer than
+        # _MIN_VALID pixels, so the stack's rows and the kept rows part ways
+        img = smooth_image(64, seed=23)
+        level = refine_module._pyramid(img, img)[0]
+        assert level.template.shape == (16, 16)
+        bs = np.array([[1.5, -1.0, 0.05, 0.02, 0, 0, 0, 0], [48.0, 0, 0, 0, 0, 0, 0, 0],
+                       [-2.0, 3.0, -0.1, 0.0, 0.03, 0, 0, 0]])
+        objective = refine_module._objective
+        calls = []
+
+        def recorded(level, warped, gx, gy, rows):
+            calls.append((warped.copy(), rows))
+            return objective(level, warped, gx, gy, rows)
+
+        monkeypatch.setattr(refine_module, "_objective", recorded)
+        evs = refine_module._evaluate(level, bs)
+        ((warped, rows),) = calls
+        assert len(warped) == 3 and [j for j, _ in rows] == [0, 2]
+        assert evs[1] is None
+        assert 0 < len(objective_reference(level.template, warped[1])[0]) < refine_module._MIN_VALID
+        for k in (0, 2):
+            valid, r, gx, gy, cost = objective_reference(level.template, warped[k])
+            ev = evs[k]
+            assert len(valid) > 100
+            np.testing.assert_array_equal(ev.valid, valid)
+            assert ev.residual.tobytes() == r.tobytes()
+            assert ev.grad_x.tobytes() == gx.tobytes() and ev.grad_y.tobytes() == gy.tobytes()
+            assert ev.warped.tobytes() == warped[k].take(valid).tobytes()
+            assert abs(ev.cost - cost) <= 1e-12 * cost
+        for k, ev in enumerate(evs):
+            (alone,) = refine_module._evaluate(level, bs[k : k + 1])
+            assert (ev is None) == (alone is None)
+            if ev is not None:
+                assert ev.cost == alone.cost
+                for name in ("residual", "grad_x", "grad_y", "warped", "valid", "factors"):
+                    assert getattr(ev, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_tangents_equal_one_solve_per_coefficient(self):
         # the batched solve over the stacked tails against the plain loop
