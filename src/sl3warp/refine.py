@@ -29,9 +29,10 @@ ones, goes on alone through the finer levels, so the photometric cost
 alone arbitrates between the correlation routes.  The starts run in lock
 step as the rows of one ``(K, 8)`` coefficient stack.  Each round
 evaluates the next trial of every row still running with one composition,
-projection, plan and gather, and solves the tangents of the rows that
-start an iteration at once, so the coarsest level pays its per-call
-overhead once per round instead of once per start.  Every row keeps its
+projection, plan and gather, and forms the tangents of the rows that start
+an iteration at once, from the factors and their inverses with no solve,
+so the coarsest level pays its per-call overhead once per round instead of
+once per start.  Every row keeps its
 own damping, iteration count and stop rule, and no row's numbers depend on
 another's, so each start ends bit for bit where it would alone.  A row
 stops when an accepted step lowers its cost by at most
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import ImageGrid, _centered_grid, _gather, _pad_planes, _plan
-from .sl3 import FACTOR_COEFFS, _compose_rows, _project, generators
+from .sl3 import FACTOR_COEFFS, _compose_rows, _factor_rows, _project, generators
 
 __all__ = ["refine", "residual_jacobian"]
 
@@ -102,9 +103,8 @@ class _Evaluation:
     residual: np.ndarray  # over ``valid`` pixels, like the ESM gradients
     grad_x: np.ndarray
     grad_y: np.ndarray
-    warped: np.ndarray  # the warped search's samples over ``valid`` pixels
     valid: np.ndarray  # flat indices of the valid pixels, ascending
-    factors: np.ndarray  # (6, 3, 3) factors of the level's coefficients
+    coeffs: np.ndarray  # (8,) level coefficients ``scale * b``, see _tangents
 
 
 def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
@@ -172,7 +172,7 @@ def residual_jacobian(
     if ev is None:
         return np.zeros(0), valid, np.zeros((0, free.size))
     valid.flat[ev.valid] = True
-    return ev.residual, valid, _jacobian(level, ev, _tangents(ev.factors[None])[0], free)
+    return ev.residual, valid, _jacobian(level, ev, _tangents(ev.coeffs[None])[0], free)
 
 
 def _plane(image: ImageGrid) -> np.ndarray:
@@ -253,7 +253,8 @@ def _evaluate(level: _Level, bs: np.ndarray) -> list[_Evaluation | None]:
     are finite.  Each row's numbers are bit for bit a one-row call's.
     """
     out: list[_Evaluation | None] = [None] * len(bs)
-    hs, factors, errors = _compose_rows(level.scale * bs)
+    coeffs = level.scale * bs
+    hs, _, errors = _compose_rows(coeffs)
     rows = [k for k, error in enumerate(errors) if error is None]
     if not rows:
         return out
@@ -271,9 +272,8 @@ def _evaluate(level: _Level, bs: np.ndarray) -> list[_Evaluation | None]:
     gx, gy = _gradient(warped)
     finite = np.isfinite(warped + gx + gy) & level.covered
     kept = [(j, v) for j, v in enumerate(map(np.flatnonzero, finite)) if v.size >= _MIN_VALID]
-    samples = [warped[j].take(valid) for j, valid in kept]  # _objective overwrites warped
-    for (j, valid), sample, obj in zip(kept, samples, _objective(level, warped, gx, gy, kept)):
-        out[rows[j]] = _Evaluation(*obj, sample, valid, factors[rows[j]])
+    for (j, valid), obj in zip(kept, _objective(level, warped, gx, gy, kept)):
+        out[rows[j]] = _Evaluation(*obj, valid, coeffs[rows[j]])
     return out
 
 
@@ -315,34 +315,27 @@ def _jacobian(level: _Level, ev: _Evaluation, tangents: np.ndarray, free: np.nda
     return rows.T @ tangents.reshape(free.size, 9).T
 
 
-def _tangents(factors: np.ndarray) -> np.ndarray:
+def _tangents(coeffs: np.ndarray) -> np.ndarray:
     """``H(b)^-1 dH/db_i`` up to multiples of the identity, shape
-    ``(K, 8, 3, 3)``, from the ``(K, 6, 3, 3)`` factors of ``K`` vectors.
+    ``(K, 8, 3, 3)``, for the ``(K, 8)`` level coefficients of ``K``
+    evaluations.
 
     Each factor is the exponential of its own generators, so differentiating
     factor ``k`` inserts ``A_i`` after it; moving it to the right end of the
-    product conjugates it by the factors that follow.  Raises ``ValueError``
-    when a product of those factors is singular.
+    product conjugates it by the product ``T_k`` of the factors that follow,
+    to ``T_k^-1 A_i T_k``.  A factor's inverse is the factor of the negated
+    coefficients, so ``T_k^-1`` is the reversed product of those, and no
+    system is solved.  Each row is bit for bit a one-row call's.
     """
+    factors, _ = _factor_rows(coeffs)
+    inverses, _ = _factor_rows(-coeffs)
     tails = np.empty(factors.shape)
-    tails[:, -1] = np.eye(3)
+    inverse_tails = np.empty(factors.shape)
+    tails[:, -1] = inverse_tails[:, -1] = np.eye(3)
     for k in range(len(FACTOR_COEFFS) - 1, 0, -1):
         tails[:, k - 1] = factors[:, k] @ tails[:, k]
-    stacked = tails[:, _FACTOR_OF_COEFF]
-    return np.linalg.solve(stacked, _GENERATORS @ stacked)
-
-
-def _row_tangents(evs: list[_Evaluation]) -> list[np.ndarray | None]:
-    """The :func:`_tangents` of each evaluation, in one solve; None for a
-    row that has none (an extreme ``b``)."""
-    if not evs:
-        return []
-    try:
-        return list(_tangents(np.stack([ev.factors for ev in evs])))
-    except ValueError:
-        if len(evs) == 1:
-            return [None]
-        return [t for ev in evs for t in _row_tangents([ev])]
+        inverse_tails[:, k - 1] = inverse_tails[:, k] @ inverses[:, k]
+    return inverse_tails[:, _FACTOR_OF_COEFF] @ _GENERATORS @ tails[:, _FACTOR_OF_COEFF]
 
 
 def _solve_level(
@@ -360,9 +353,9 @@ def _solve_level(
     most ``_RELATIVE_DECREASE`` of the sum, ``r @ r`` of the residual; it
     keeps its current coefficients.  No row takes a step when the level's
     template has no finite nonzero gradient.  A round evaluates the next
-    trial of every active row as one stack, after one tangent solve for the
-    rows that start an iteration, so each row ends bit for bit where it
-    would alone.
+    trial of every active row as one stack, after one :func:`_tangents`
+    call for the rows that start an iteration, so each row ends bit for bit
+    where it would alone.
     Returns the final rows and their evaluations.
     """
     bs = bs.copy()
@@ -375,12 +368,13 @@ def _solve_level(
     systems: dict = {}  # the scaled system of each row's current iteration
     while active:
         fresh = [k for k in active if k not in systems]
-        for k, tangents in zip(fresh, _row_tangents([evs[k] for k in fresh])):
-            systems[k] = tangents is not None and _scaled_system(
-                _jacobian(level, evs[k], tangents, free), evs[k].residual)
+        if fresh:
+            for k, tangents in zip(fresh, _tangents(np.array([evs[k].coeffs for k in fresh]))):
+                systems[k] = _scaled_system(_jacobian(level, evs[k], tangents, free),
+                                            evs[k].residual)
         trials = {}
         for k in active:
-            if systems[k]:  # else no tangent at an extreme b, or no gradient
+            if systems[k]:  # else no Jacobian column of nonzero norm
                 trial, lam[k], predicted = _damped_step(bs[k], systems[k], lam[k], free)
                 # after a rejection, a step predicted to fail the continue
                 # rule ends the row

@@ -50,13 +50,18 @@ def oracle_residual(template, search, b, rows, cols):
     return np.array(out)
 
 
-def full_resolution_evaluation(template, search, b):
-    """The refinement's evaluation of ``b`` on the full-resolution level
-    that ``residual_jacobian`` builds, with the warped search's samples."""
-    level = refine_module._level(
-        refine_module._plane(template), refine_module._plane(search), np.zeros(2), 0
-    )
-    return refine_module._evaluate(level, np.asarray(b, dtype=float)[None])[0]
+def record_warped(monkeypatch) -> list:
+    """Copies of every warped search stack that ``_objective`` receives
+    (it overwrites them), appended to the returned list as they come."""
+    objective = refine_module._objective
+    stacks = []
+
+    def recorded(level, warped, gx, gy, rows):
+        stacks.append(warped.copy())
+        return objective(level, warped, gx, gy, rows)
+
+    monkeypatch.setattr(refine_module, "_objective", recorded)
+    return stacks
 
 
 class TestResidualJacobian:
@@ -109,19 +114,20 @@ class TestResidualJacobian:
         _, _, part = residual_jacobian(template, search, B_JACOBIAN, (5, 0))
         np.testing.assert_array_equal(part, full[:, [5, 0]])
 
-    def test_padded_search_lookup_is_bilinear_sample(self, pair):
+    def test_padded_search_lookup_is_bilinear_sample(self, pair, monkeypatch):
         # the level pads its search raster once; every lookup through it must
         # still be the package's bilinear kernel, bit for bit
         template, search = pair
+        stacks = record_warped(monkeypatch)
         _, valid, _ = residual_jacobian(template, search, B_JACOBIAN, range(8))
         pts = pixel_grid(template).reshape(-1, 2)
         q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
-        ev = full_resolution_evaluation(template, search, B_JACOBIAN)
-        np.testing.assert_array_equal(ev.warped, warped[valid])
+        ((got,),) = stacks
+        np.testing.assert_array_equal(got[valid], warped[valid])
 
     @pytest.mark.parametrize("swap", [False, True])
-    def test_search_of_another_size(self, swap):
+    def test_search_of_another_size(self, swap, monkeypatch):
         # a tracking-style pair, and the same pair with the roles swapped so
         # the search is the smaller raster: lookups index the search's own
         # lattice, and the valid rule holds at the search's own box
@@ -129,6 +135,7 @@ class TestResidualJacobian:
         template, search = sample.template, sample.search
         if swap:
             template, search = search, template
+        stacks = record_warped(monkeypatch)
         _, valid, jac = residual_jacobian(template, search, B_JACOBIAN, range(8))
         want = refine_valid_reference(
             template.pixels[:, :, 0], search.pixels[:, :, 0], compose_homography(B_JACOBIAN)
@@ -138,8 +145,8 @@ class TestResidualJacobian:
         pts = pixel_grid(template).reshape(-1, 2)
         q = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ compose_homography(B_JACOBIAN).T
         warped = bilinear_sample(search, q[:, :2] / q[:, 2:3])[:, 0].reshape(valid.shape)
-        ev = full_resolution_evaluation(template, search, B_JACOBIAN)
-        np.testing.assert_array_equal(ev.warped, warped[valid])
+        ((got,),) = stacks
+        np.testing.assert_array_equal(got[valid], warped[valid])
 
     def test_unusable_b_gives_empty_arrays(self, pair):
         template, search = pair
@@ -196,22 +203,24 @@ class TestResidualJacobian:
             np.testing.assert_array_equal(ev.valid, valid)
             assert ev.residual.tobytes() == r.tobytes()
             assert ev.grad_x.tobytes() == gx.tobytes() and ev.grad_y.tobytes() == gy.tobytes()
-            assert ev.warped.tobytes() == warped[k].take(valid).tobytes()
             assert abs(ev.cost - cost) <= 1e-12 * cost
         for k, ev in enumerate(evs):
             (alone,) = refine_module._evaluate(level, bs[k : k + 1])
             assert (ev is None) == (alone is None)
             if ev is not None:
                 assert ev.cost == alone.cost
-                for name in ("residual", "grad_x", "grad_y", "warped", "valid", "factors"):
+                for name in ("residual", "grad_x", "grad_y", "valid", "coeffs"):
                     assert getattr(ev, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_tangents_equal_one_solve_per_coefficient(self):
-        # the batched solve over the stacked tails against the plain loop
+        # the tangents from the inverse factors against one solve per
+        # coefficient on the tails, and a stack of rows against one-row calls
         rng = np.random.default_rng(9)
         spread = np.array([30.0, 30.0, 0.8, 0.3, 0.3, 0.2, 1e-3, 1e-3])
         gens = generators()
-        for b in (B_JACOBIAN, B_MIDDLE, *(rng.uniform(-1, 1, (50, 8)) * spread)):
+        bs = np.array([B_JACOBIAN, B_MIDDLE, *(rng.uniform(-1, 1, (50, 8)) * spread)])
+        stack = refine_module._tangents(bs)
+        for b, got in zip(bs, stack):
             factors = factor_matrices(b)
             tails = [np.eye(3)]
             for factor in reversed(factors[1:]):
@@ -221,8 +230,9 @@ class TestResidualJacobian:
                 for k, coeffs in enumerate(FACTOR_COEFFS)
                 for i in coeffs
             ])
-            got = refine_module._tangents(np.stack(factors)[None])[0]
-            np.testing.assert_array_equal(got, want)
+            error = np.linalg.norm(got - want, axis=(1, 2))
+            assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+            assert refine_module._tangents(b[None])[0].tobytes() == got.tobytes()
 
 
 class TestRefine:
@@ -319,22 +329,23 @@ class TestRefine:
             refine(smooth_image(64, seed=23), smooth_image(32, seed=23), np.zeros(8), range(8))
 
     def test_failing_jacobian_keeps_the_start(self, monkeypatch):
-        def no_tangent(factors):
-            raise ValueError("no tangent")
+        # NaN tangents give a Jacobian with no usable column: no step, and
+        # no warning on the way
+        def nan_tangents(coeffs):
+            return np.full((len(coeffs), 8, 3, 3), np.nan)
 
-        monkeypatch.setattr(refine_module, "_tangents", no_tangent)
+        monkeypatch.setattr(refine_module, "_tangents", nan_tangents)
         img = smooth_image(64, seed=23)
         b_init = np.array([0.5, -0.5, 0.01, 0, 0, 0, 0, 0])
-        b = refine(img, warp_by_homography(img, compose_homography(b_init)), b_init, range(8))
+        search = warp_by_homography(img, compose_homography(b_init))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = refine(img, search, b_init, range(8))
         np.testing.assert_array_equal(b, b_init)
 
     def test_singular_damped_step_is_rejected(self, monkeypatch):
-        solve = np.linalg.solve
-
-        def singular_step(a, rhs):  # the tangents' batched solves still run
-            if np.ndim(rhs) == 1:
-                raise np.linalg.LinAlgError("singular matrix")
-            return solve(a, rhs)
+        def singular_step(a, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular_step)
         img = smooth_image(64, seed=23)
