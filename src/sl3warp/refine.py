@@ -32,21 +32,21 @@ evaluates the next trial of every row still running with one composition,
 projection, plan and gather, and forms the tangents of the rows that start
 an iteration at once, from the factors and their inverses with no solve,
 so the coarsest level pays its per-call overhead once per round instead of
-once per start.  Every row keeps its
-own damping, iteration count and stop rule, and no row's numbers depend on
-another's, so each start ends bit for bit where it would alone.  A row
-stops when an accepted step lowers its cost by at most
-``_RELATIVE_DECREASE`` of it, and, once a trial has been rejected, as soon
-as the decrease of the summed squared residual that the linear model
-predicts for its next, more damped step is at most that share of the sum:
-more damping only shrinks the step and its predicted decrease, so the row
-could at best take one step that the first rule then stops at (Madsen,
-Nielsen & Tingleff, "Methods for non-linear least squares problems",
-2004).  A step that is singular, non-finite or brings the horizon into the
-template is rejected, and a level whose template has no finite nonzero
-gradient takes no step at all: on a flat pair the only gradient left is
-the round-off of the warped search, on which a start would drift.  The
-stage never raises on images of matching shape and is deterministic.
+once per start.  Every row keeps its own damping, iteration count and stop
+rule, and no row's numbers depend on another's, so each start ends bit for
+bit where it would alone.  A row stops when an accepted step lowers its
+cost by at most ``_RELATIVE_DECREASE`` of it, and, once a trial has been
+rejected, as soon as the decrease of the summed squared residual that the
+linear model predicts for its next, more damped step is at most that share
+of the sum: more damping only shrinks the step and its predicted decrease,
+so the row could at best take one step that the first rule then stops at
+(Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
+problems", 2004).  A step that is singular, non-finite or brings the
+horizon into the template is rejected, and a level whose template has no
+finite nonzero gradient takes no step at all: on a flat pair the only
+gradient left is the round-off of the warped search, on which a start would
+drift.  Given images of matching shape and well-formed starts and ``free``,
+the stage never raises, and it is deterministic.
 """
 
 from __future__ import annotations
@@ -117,8 +117,11 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
     coefficient positions in ``free`` change: the other entries of every
     start are taken from the first.  Returns a new 8-vector: where that row
     ends on the finest level, or the first start when no row can be
-    evaluated.  Raises ``ValueError`` only for images of different
-    shapes.
+    evaluated.  Raises ``ValueError`` for images of different shapes, for
+    ``starts`` that are neither an 8-vector nor a ``(K, 8)`` stack of at
+    least one row, and for an entry of ``free`` that is not an integer in
+    0..7.  A start with a non-finite entry is a row that cannot be
+    evaluated.
     """
     return _refine(_pyramid(template, search), starts, free)
 
@@ -126,8 +129,11 @@ def refine(template: ImageGrid, search: ImageGrid, starts, free) -> np.ndarray:
 def _refine(levels: list[_Level], starts, free) -> np.ndarray:
     """:func:`refine` on the levels of a :func:`_pyramid`."""
     rows = np.atleast_2d(np.array(starts, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != 8 or not len(rows):
+        raise ValueError(f"starts must be an 8-vector or a (K, 8) stack, got shape "
+                         f"{np.shape(starts)}")
     first = rows[0]
-    free = np.array(sorted(set(free)), dtype=int)
+    free = np.array(sorted(set(_positions(free))), dtype=int)
     if free.size == 0:
         return first
 
@@ -163,16 +169,30 @@ def residual_jacobian(
     Returns ``(r, valid, J)``: ``r`` and the rows of ``J`` follow the valid
     pixels in row-major order, and ``J`` has one column per entry of
     ``free``.  Empty arrays (and an all-false mask) when ``H(b)`` is
-    unusable or fewer than ``_MIN_VALID`` pixels are valid.
+    unusable or fewer than ``_MIN_VALID`` pixels are valid.  Raises
+    ``ValueError`` for a ``b`` not of shape ``(8,)`` and for an entry of
+    ``free`` that is not an integer in 0..7.
     """
-    free = np.array(free, dtype=int)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (8,):
+        raise ValueError(f"b must have shape (8,), got {b.shape}")
+    free = np.array(_positions(free), dtype=int)
     level = _level(_plane(template), _plane(search), np.zeros(2), 0)
-    ev = _evaluate(level, np.asarray(b, dtype=float)[None])[0]
+    ev = _evaluate(level, b[None])[0]
     valid = np.zeros(template.pixels.shape[:2], bool)
     if ev is None:
         return np.zeros(0), valid, np.zeros((0, free.size))
     valid.flat[ev.valid] = True
     return ev.residual, valid, _jacobian(level, ev, _tangents(ev.coeffs[None])[0], free)
+
+
+def _positions(free) -> list:
+    """The entries of ``free``; ``ValueError`` unless each is an integer
+    coefficient position, 0 to 7."""
+    free = list(free)
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i <= 7 for i in free):
+        raise ValueError(f"free entries must be integers in 0..7, got {free}")
+    return free
 
 
 def _plane(image: ImageGrid) -> np.ndarray:

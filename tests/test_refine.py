@@ -156,6 +156,17 @@ class TestResidualJacobian:
         assert r.shape == (0,) and jac.shape == (0, 3)
         assert valid.shape == (64, 64) and not valid.any()
 
+    @pytest.mark.parametrize("b, free, match", [
+        (np.zeros(7), range(8), r"b must have shape \(8,\)"),
+        (np.zeros((1, 8)), range(8), r"b must have shape \(8,\)"),
+        (B_JACOBIAN, [8], "free entries"),
+        (B_JACOBIAN, [-1], "free entries"),
+        (B_JACOBIAN, [0.5], "free entries"),
+    ], ids=["b-7", "b-1x8", "free-8", "free-minus-1", "free-half"])
+    def test_malformed_b_or_free_rejected(self, pair, b, free, match):
+        with pytest.raises(ValueError, match=match):
+            residual_jacobian(*pair, b, free)
+
     @pytest.mark.parametrize("free", [range(8), (5, 0, 2)])
     def test_predicted_decrease_matches_linearized_residual(self, pair, free):
         # the damped step's prediction, from the column-scaled normal
@@ -327,6 +338,24 @@ class TestRefine:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="identical dimensions"):
             refine(smooth_image(64, seed=23), smooth_image(32, seed=23), np.zeros(8), range(8))
+
+    @pytest.mark.parametrize("starts, free, match", [
+        (np.zeros(7), range(8), "starts must be"),
+        (np.zeros((1, 2, 8)), range(8), "starts must be"),
+        (np.zeros((0, 8)), range(8), "starts must be"),
+        (np.zeros(8), [8], "free entries"),
+        (np.zeros(8), [-1], "free entries"),
+        (np.zeros(8), [0.5], "free entries"),
+    ], ids=["starts-7", "starts-1x2x8", "starts-empty", "free-8", "free-minus-1", "free-half"])
+    def test_malformed_starts_or_free_rejected(self, starts, free, match):
+        img = smooth_image(64, seed=23)
+        with pytest.raises(ValueError, match=match):
+            refine(img, img, starts, free)
+
+    def test_non_finite_start_is_an_unusable_row(self):
+        img = smooth_image(64, seed=23)
+        b = refine(img, img, [np.full(8, np.nan), np.zeros(8)], range(8))
+        np.testing.assert_array_equal(b, np.zeros(8))
 
     def test_failing_jacobian_keeps_the_start(self, monkeypatch):
         # NaN tangents give a Jacobian with no usable column: no step, and
