@@ -16,9 +16,9 @@ and the warp configuration the CLI builds for 256-pixel inputs.  Families:
   crops;
 * ``refine``: ``refine`` with every coefficient free from two start stacks
   per case: a perturbed truth, the identity, a start whose horizon crosses
-  the template (``b7 = 0.2``) and one whose aspect factor leaves the float
-  range (``b4 = 800``); then the last two alone, so the first start is
-  unusable;
+  the template (``b7 = 0.2``) and one whose isotropic scale ``gamma =
+  exp(b4)`` leaves the float range (``b4 = 800``); then the last two
+  alone, so the first start is unusable;
 * ``residual_jacobian``: ``r``, the valid mask and ``J`` at the true and at
   the estimated coefficients, all eight free, and at the true coefficients
   on a ``(128, 256)`` pair of every other case, both ways round;
@@ -58,8 +58,8 @@ CROP = 256
 PAIRS = 16
 MASK_RADIUS = 60
 CONFIG = cascade.EstimatorConfig(warp=warps.WarpConfig(n=CROP))
-# refine starts: a nudge off the truth, a horizon through the template, an
-# aspect factor past the float range
+# refine starts: a nudge off the truth, a horizon through the template, a
+# rotation-scale factor whose gamma = exp(b4) is past the float range
 NUDGE = np.array([2.0, -1.5, 0.02, 0.01, 0.01, -0.01, 0.0, 0.0])
 BEYOND_HORIZON = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.0])
 OUT_OF_RANGE = np.array([0.0, 0.0, 0.0, 800.0, 0.0, 0.0, 0.0, 0.0])

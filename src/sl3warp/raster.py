@@ -328,12 +328,13 @@ def load_image(path) -> ImageGrid:
         raise UnsupportedFormatError(f"unsupported bit depth (maxval {maxval})")
     pos += 1  # single whitespace byte separates header from raster data
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    nbytes = width * height * channels * dtype.itemsize
+    count = width * height * channels
+    nbytes = count * dtype.itemsize
     if len(data) < pos + nbytes:
         raise RasterFormatError(
             f"truncated raster: expected {nbytes} data bytes", len(data)
         )
-    raw = np.frombuffer(data[pos : pos + nbytes], dtype=dtype)
+    raw = np.frombuffer(data, dtype, count, offset=pos)
     return ImageGrid._adopt(np.divide(raw.reshape(height, width, channels), maxval, dtype=float))
 
 
@@ -354,5 +355,6 @@ def save_image(image: ImageGrid, path, bit_depth: int = 8) -> None:
     else:
         raise UnsupportedFormatError(f"unsupported bit depth {bit_depth}")
     header = magic + f"\n{image.width} {image.height}\n{maxval}\n".encode()
-    q = np.rint(image.pixels * maxval).astype(dtype)
+    q = np.multiply(image.pixels, maxval)
+    q = np.rint(q, out=q).astype(dtype)
     Path(path).write_bytes(header + q.tobytes())

@@ -337,6 +337,18 @@ class TestRasterIO:
         want = raw.astype(float) / maxval
         assert load_image(path).pixels.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_save_writes_rounded_samples_and_load_ignores_trailing_bytes(self, tmp_path, bit_depth):
+        img = texture(19, seed=21, channels=3)
+        path = tmp_path / "img.ppm"
+        save_image(img, path, bit_depth=bit_depth)
+        maxval = 2**bit_depth - 1
+        raw = np.rint(img.pixels * maxval).astype(">u2" if bit_depth == 16 else "u1")
+        header = f"P6\n19 19\n{maxval}\n".encode()
+        assert path.read_bytes() == header + raw.tobytes()
+        path.write_bytes(header + raw.tobytes() + b"\xff" * 7)
+        assert load_image(path).pixels.tobytes() == (raw.astype(float) / maxval).tobytes()
+
     def test_truncated_file(self, tmp_path):
         img = smooth_image(8, seed=14)
         path = tmp_path / "img.pgm"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from sl3warp.synth import (
     sample_coeffs,
     texture,
 )
+
+from conftest import smooth_image
 
 
 class TestParamRanges:
@@ -175,6 +178,19 @@ class TestMaskCorners:
         with pytest.raises(ValueError, match="non-negative"):
             mask_corners(texture(32, seed=8), math.nan)
 
+    @pytest.mark.parametrize("radius", [0.5, 60, 100, 400])
+    def test_equals_full_plane_formula(self, radius):
+        # at 100 the corner discs overlap; at 400 they cover the image
+        img = ImageGrid(0.5 + 0.5 * np.random.default_rng(9).random((256, 192, 2)))
+        h, w = img.height, img.width
+        rows, cols = np.arange(h)[:, None], np.arange(w)[None, :]
+        near = np.zeros((h, w), dtype=bool)
+        for cr, cc in ((0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)):
+            near |= (rows - cr) ** 2 + (cols - cc) ** 2 < radius**2
+        want = img.pixels.copy()
+        want[near] = 0.0
+        assert mask_corners(img, radius).pixels.tobytes() == want.tobytes()
+
 
 class TestTexture:
     @pytest.mark.parametrize("size", [-2, 0, 1])
@@ -185,6 +201,30 @@ class TestTexture:
     def test_smallest_size_spans_unit_range(self):
         img = texture(2, seed=0)
         assert img.pixels.min() == 0.0 and img.pixels.max() == 1.0
+
+    @pytest.mark.parametrize("size, seed, channels, exponent", [
+        (64, 0, 1, 1.8),
+        (97, 3, 1, 1.8),
+        (2, 1, 1, 1.8),
+        (33, 4, 3, 1.8),
+        (48, 5, 2, 3.0),
+        (40, (7, 2), 1, 1.0),
+    ])
+    def test_equals_reference_bytes(self, size, seed, channels, exponent):
+        got = texture(size, seed=seed, channels=channels, exponent=exponent)
+        want = smooth_image(size, seed=seed, channels=channels, exponent=exponent)
+        assert got.pixels.shape == (size, size, channels)
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    def test_peak_memory_is_a_few_outputs(self):
+        texture(8, seed=0)  # first-call allocations are not the transient
+        tracemalloc.start()
+        try:
+            img = texture(512, seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * img.pixels.nbytes
 
 
 class TestGenerateDataset:
